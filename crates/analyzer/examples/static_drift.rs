@@ -81,6 +81,7 @@ fn main() -> ExitCode {
             monitoring_rate: Duration::from_millis(0),
             min_samples: 1,
             history_decay: 0.5,
+            ..WindowConfig::default()
         })
         .build();
     wire_contexts(&engine);

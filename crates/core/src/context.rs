@@ -282,35 +282,33 @@ impl<K: Kind> ContextCore<K> {
             return None;
         }
         let drained = self.sink.drain();
-        let mut window_ops: u64 = 0;
-        let mut window_nanos: u64 = 0;
+        let mut window_timing = cs_profile::OpTiming::default();
         let mut history = self.history.lock();
         history.decay(self.config.history_decay);
         for profile in &drained {
-            window_ops += profile.total_ops();
-            window_nanos = window_nanos.saturating_add(profile.elapsed_nanos());
+            window_timing.merge(profile.timing());
             history.add(profile);
         }
+        // Measured cost per op of this window: sampled nanos over clocked
+        // ops, `None` when the window clocked too few ops to be trusted.
+        let window_cpo = self.config.verifiable_nanos_per_op(window_timing);
 
         let round = self.rounds.load(Ordering::Relaxed);
         let mut guard = self.guard.lock();
 
         // Post-switch verification: single-shot against the first completed
         // window after the switch. A pending record that cannot be verified
-        // (no timing data, non-time rule, variant changed underneath) is
-        // dropped rather than carried forward — stale baselines only get
-        // less comparable with time.
+        // (too few clocked ops in either window, non-time rule, variant
+        // changed underneath) is dropped rather than carried forward —
+        // stale baselines only get less comparable with time.
         let mut rolled_back = false;
         if let Some(pending) = guard.pending.take() {
             let _verify_span = cs_trace::span(cs_trace::Phase::Verify, self.id);
             let verifiable = guard_cfg.verification_enabled()
                 && rule.primary().dimension == CostDimension::Time
                 && self.current.load(Ordering::Acquire) == pending.new_index
-                && pending.baseline_cpo > 0.0
-                && window_ops > 0
-                && window_nanos > 0;
-            if verifiable {
-                let realized_cpo = window_nanos as f64 / window_ops as f64;
+                && pending.baseline_cpo > 0.0;
+            if let (true, Some(realized_cpo)) = (verifiable, window_cpo) {
                 let realized_ratio = realized_cpo / pending.baseline_cpo;
                 let threshold = pending.predicted_ratio.max(1.0) + guard_cfg.verify_tolerance;
                 if realized_ratio > threshold {
@@ -406,16 +404,11 @@ impl<K: Kind> ContextCore<K> {
         explanation.outcome = SelectionOutcome::Switched;
         events.push(EngineEvent::Selection(explanation.clone()));
         *self.last_explanation.lock() = Some(explanation);
-        let baseline_cpo = if window_ops > 0 {
-            window_nanos as f64 / window_ops as f64
-        } else {
-            0.0
-        };
         guard.pending = Some(PendingVerification {
             prev_index: current.index(),
             new_index: sel.kind.index(),
             predicted_ratio: sel.primary_ratio,
-            baseline_cpo,
+            baseline_cpo: window_cpo.unwrap_or(0.0),
         });
         guard.last_transition_round = Some(round);
         self.current.store(sel.kind.index(), Ordering::Release);
@@ -611,6 +604,7 @@ mod tests {
             monitoring_rate: Duration::from_millis(50),
             min_samples: 5,
             history_decay: 0.5,
+            ..WindowConfig::default()
         }
     }
 
@@ -880,6 +874,110 @@ mod tests {
         );
     }
 
+    /// Like [`feed_window`], for profiles that clocked only `timed` of
+    /// their ops, taking `nanos` in total.
+    fn feed_sampled_window(core: &ContextCore<ListKind>, n: usize, timed: u64, nanos: u64) {
+        for _ in 0..n {
+            assert!(core.window.try_claim_slot(core.config.window_size));
+            let mut c = OpCounters::new();
+            c.add(OpKind::Contains, 100);
+            core.sink.push(
+                WorkloadProfile::new(c, 50).with_timing(cs_profile::OpTiming::new(nanos, timed)),
+            );
+        }
+    }
+
+    fn sampled_core(min_timed_ops: u64) -> ContextCore<ListKind> {
+        let cfg = WindowConfig {
+            min_timed_ops,
+            ..test_config()
+        };
+        ContextCore::new(1, "site".into(), ListKind::Array, cfg)
+    }
+
+    #[test]
+    fn window_below_min_timed_ops_is_unverifiable() {
+        let core = sampled_core(20);
+        let model = inverted_list_model();
+        let rule = SelectionRule::r_time();
+        let cfg = GuardrailConfig::default();
+        let budget = TransitionBudget::new(None);
+        let mut events = Vec::new();
+
+        // Baseline: 10 profiles x 4 clocked ops at 10 ns/op (40 >= 20).
+        feed_sampled_window(&core, 10, 4, 40);
+        core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+            .expect("inverted model must trigger a switch");
+        assert_eq!(core.current_kind(), ListKind::Linked);
+
+        // The realized window reads 10x slower, but on 10 clocked ops only:
+        // the pending record is dropped, nothing is rolled back.
+        feed_sampled_window(&core, 10, 1, 100);
+        core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events);
+        assert_eq!(core.current_kind(), ListKind::Linked);
+        assert_eq!(core.stats().rollbacks, 0);
+        assert!(
+            core.guard.lock().pending.is_none(),
+            "pending record dropped"
+        );
+        assert!(events
+            .iter()
+            .all(|e| matches!(e, EngineEvent::Selection(_))));
+    }
+
+    #[test]
+    fn baseline_below_min_timed_ops_is_unverifiable() {
+        let core = sampled_core(20);
+        let model = inverted_list_model();
+        let rule = SelectionRule::r_time();
+        let cfg = GuardrailConfig::default();
+        let budget = TransitionBudget::new(None);
+        let mut events = Vec::new();
+
+        feed_sampled_window(&core, 10, 1, 10);
+        core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+            .expect("switch");
+        // A well-sampled realized window cannot be judged against a
+        // baseline that clocked too few ops.
+        feed_sampled_window(&core, 10, 4, 400);
+        core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events);
+        assert_eq!(core.current_kind(), ListKind::Linked);
+        assert_eq!(core.stats().rollbacks, 0);
+    }
+
+    #[test]
+    fn sampled_window_over_threshold_rolls_back() {
+        let core = sampled_core(20);
+        let model = inverted_list_model();
+        let rule = SelectionRule::r_time();
+        let cfg = GuardrailConfig::default();
+        let budget = TransitionBudget::new(None);
+        let mut events = Vec::new();
+
+        feed_sampled_window(&core, 10, 4, 40);
+        core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+            .expect("switch");
+        // 30 clocked ops at 100 ns/op against a 10 ns/op baseline: the
+        // estimator (sampled nanos / clocked ops) reads a 10x regression,
+        // regardless of the 1000 ops the window counted.
+        feed_sampled_window(&core, 10, 3, 300);
+        core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events);
+        assert_eq!(core.current_kind(), ListKind::Array);
+        assert_eq!(core.stats().rollbacks, 1);
+        let rb = events
+            .iter()
+            .find_map(|e| match e {
+                EngineEvent::Rollback(r) => Some(r),
+                _ => None,
+            })
+            .expect("rollback event recorded");
+        assert!(
+            (rb.realized_ratio - 10.0).abs() < 1e-9,
+            "{}",
+            rb.realized_ratio
+        );
+    }
+
     #[test]
     fn verification_disabled_never_rolls_back() {
         let core = list_core();
@@ -1046,6 +1144,7 @@ mod tests {
             monitoring_rate: Duration::from_millis(50),
             min_samples: 1,
             history_decay: 0.5,
+            ..WindowConfig::default()
         };
         let core = Arc::new(ContextCore::new(1, "big".into(), ListKind::Array, cfg));
         let ctx: ListContext<i64> = ListContext::from_core(core);

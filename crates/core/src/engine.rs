@@ -1533,6 +1533,7 @@ mod tests {
             monitoring_rate: Duration::from_millis(5),
             min_samples: 5,
             history_decay: 0.5,
+            ..WindowConfig::default()
         }
     }
 

@@ -220,7 +220,9 @@ pub(crate) struct PendingVerification {
     pub(crate) new_index: usize,
     /// Cost ratio the model predicted (new/old; < 1 is an improvement).
     pub(crate) predicted_ratio: f64,
-    /// Measured cost-per-op (ns) of the window that triggered the switch.
+    /// Measured cost-per-op (ns) of the window that triggered the switch
+    /// (sampled nanos over clocked ops); `0.0` when that window clocked
+    /// fewer than `min_timed_ops` ops, which makes the switch unverifiable.
     pub(crate) baseline_cpo: f64,
 }
 

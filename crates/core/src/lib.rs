@@ -69,7 +69,7 @@ pub use event::{
     WarmStartEvent, WarmStartSiteEvent, WarmStartSiteOutcome,
 };
 pub use guard::{GuardrailConfig, TransitionBudget};
-pub use handles::{SwitchList, SwitchMap, SwitchSet};
+pub use handles::{SwitchList, SwitchMap, SwitchSet, HANDLE_SAMPLE_SHIFT};
 pub use kind_ext::Kind;
 pub use rules::{Criterion, ParseRuleError, SelectionRule};
 pub use select::{

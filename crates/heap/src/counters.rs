@@ -309,6 +309,7 @@ pub fn thread_blocks() -> (usize, usize) {
 /// Whether a [`CountingAlloc`](crate::CountingAlloc) has observed any
 /// traffic in this process. `false` means every counter and guard delta
 /// will read zero — callers can skip exporting dead metrics.
+#[inline]
 pub fn counting_active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }

@@ -12,10 +12,11 @@
 //!    the per-thread ledgers (plus a cold-path orphan ledger). Opt-in:
 //!    only binaries that *install* it pay for it — the library crates
 //!    merely read counters, which are all zero otherwise.
-//! 2. [`AllocGuard`] — scoped per-site attribution: the cs-runtime op path
-//!    and the cs-core handle path bracket each monitored op so its
+//! 2. [`AllocGuard`] — scoped per-site attribution: the shared op-recording
+//!    primitive (`cs_profile::record_op`, used by the cs-runtime op path and
+//!    the cs-core handle path) brackets every monitored op so its
 //!    `alloc_count`/`alloc_bytes` delta rides the flushed
-//!    `WorkloadProfile` exactly like sampled wall time. Guards nest
+//!    `WorkloadProfile` next to the sampled wall time. Guards nest
 //!    without double-counting (see the exclusion-ledger notes on
 //!    [`AllocGuard`]).
 //! 3. [`process_account`] / [`peak_rss_bytes`] — the process-level heap
@@ -29,17 +30,15 @@
 //! static ALLOC: cs_heap::CountingAlloc = cs_heap::CountingAlloc::new();
 //! ```
 //!
-//! ## Attribution exactness (the documented sampling model)
+//! ## Attribution exactness
 //!
-//! With the allocator installed and `sample_mask == 0` (every op sampled),
-//! the sum of per-site attributed bytes over any quiescent window equals
-//! the sum of the participating threads' ledger deltas, provided all
-//! allocation on those threads happens inside guards; and the process
-//! account equals Σ thread ledgers + orphan ledger bit-for-bit at any
-//! quiescent point. With `sample_mask > 0` the runtime attributes sampled
-//! deltas scaled by `sample_mask + 1` — an unbiased estimate, not an exact
-//! partition. `BENCH_alloc.json`'s CI gate asserts the exact case;
-//! `tests/exactness.rs` stresses it under 4 threads.
+//! With the allocator installed, every monitored op opens a guard — only
+//! its wall time is sampled — so the sum of per-site attributed bytes over
+//! any quiescent window equals the sum of the participating threads'
+//! ledger deltas, provided all allocation on those threads happens inside
+//! guards; and the process account equals Σ thread ledgers + orphan ledger
+//! bit-for-bit at any quiescent point. `BENCH_alloc.json`'s CI gate asserts
+//! the partition; `tests/exactness.rs` stresses it under 4 threads.
 
 #![deny(missing_docs)]
 

@@ -28,7 +28,7 @@ pub struct SiteSample {
     pub ops: [u64; 4],
     /// Sum of `ops`.
     pub total_ops: u64,
-    /// Attributed allocation bytes (sampled-and-scaled).
+    /// Attributed allocation bytes (exact, every op).
     pub alloc_bytes: u64,
 }
 

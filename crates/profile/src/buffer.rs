@@ -10,6 +10,7 @@
 //! into a [`WorkloadProfile`] at an epoch boundary.
 
 use crate::op::{OpCounters, OpKind};
+use crate::record::{OpSample, OpTiming};
 use crate::WorkloadProfile;
 
 /// A thread-local accumulation buffer for one site's op events.
@@ -28,18 +29,16 @@ use crate::WorkloadProfile;
 /// let mut buf = LocalWindowBuffer::new();
 /// buf.record(OpKind::Populate, 10);
 /// buf.record(OpKind::Contains, 10);
-/// buf.add_nanos(250);
 /// assert_eq!(buf.ops_buffered(), 2);
 /// let profile = buf.drain();
 /// assert_eq!(profile.total_ops(), 2);
-/// assert_eq!(profile.elapsed_nanos(), 250);
 /// assert!(buf.is_empty());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LocalWindowBuffer {
     counters: OpCounters,
     max_size: usize,
-    nanos: u64,
+    timing: OpTiming,
     ops: u64,
     contended: u64,
     alloc_count: u64,
@@ -52,6 +51,18 @@ impl LocalWindowBuffer {
         Self::default()
     }
 
+    /// Folds one measured op into the buffer: its count, size, attributed
+    /// allocations and, when it was clocked, its wall time. The contention
+    /// flag is the caller's (see [`note_contended`](LocalWindowBuffer::note_contended)).
+    #[inline]
+    pub fn absorb(&mut self, sample: &OpSample) {
+        self.record(sample.op, sample.size);
+        self.add_alloc(sample.alloc.count, sample.alloc.bytes);
+        if let Some(nanos) = sample.nanos {
+            self.timing.add_op(nanos);
+        }
+    }
+
     /// Records one execution of `op` against a collection whose
     /// post-operation size is `size`.
     #[inline]
@@ -61,13 +72,6 @@ impl LocalWindowBuffer {
         if size > self.max_size {
             self.max_size = size;
         }
-    }
-
-    /// Adds measured (or sampled-and-scaled) wall time spent in critical
-    /// operations.
-    #[inline]
-    pub fn add_nanos(&mut self, nanos: u64) {
-        self.nanos = self.nanos.saturating_add(nanos);
     }
 
     /// Notes that the most recent operation observed contention (had to
@@ -84,8 +88,8 @@ impl LocalWindowBuffer {
         self.contended
     }
 
-    /// Adds measured (or sampled-and-scaled) heap churn attributed to
-    /// critical operations: allocation events and bytes requested.
+    /// Adds heap churn attributed to critical operations: allocation events
+    /// and bytes requested.
     #[inline]
     pub fn add_alloc(&mut self, count: u64, bytes: u64) {
         self.alloc_count = self.alloc_count.saturating_add(count);
@@ -113,20 +117,20 @@ impl LocalWindowBuffer {
     /// Returns `true` when nothing has been recorded since the last drain.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ops == 0 && self.nanos == 0 && self.contended == 0 && self.alloc_count == 0
+        self.ops == 0 && self.timing.ops == 0 && self.contended == 0 && self.alloc_count == 0
     }
 
-    /// Wall time buffered since the last drain.
+    /// Sampled wall time buffered since the last drain.
     #[inline]
-    pub fn nanos_buffered(&self) -> u64 {
-        self.nanos
+    pub fn timing_buffered(&self) -> OpTiming {
+        self.timing
     }
 
     /// Folds `other` into this buffer, leaving `other` empty.
     pub fn merge(&mut self, other: &mut LocalWindowBuffer) {
         self.counters.merge(&other.counters);
         self.max_size = self.max_size.max(other.max_size);
-        self.nanos = self.nanos.saturating_add(other.nanos);
+        self.timing.merge(other.timing);
         self.ops += other.ops;
         self.contended = self.contended.saturating_add(other.contended);
         self.alloc_count = self.alloc_count.saturating_add(other.alloc_count);
@@ -136,7 +140,8 @@ impl LocalWindowBuffer {
 
     /// Empties the buffer into a [`WorkloadProfile`] (the epoch flush).
     pub fn drain(&mut self) -> WorkloadProfile {
-        let out = WorkloadProfile::with_nanos(self.counters, self.max_size, self.nanos)
+        let out = WorkloadProfile::new(self.counters, self.max_size)
+            .with_timing(self.timing)
             .with_contended(self.contended)
             .with_alloc(self.alloc_count, self.alloc_bytes);
         *self = LocalWindowBuffer::default();
@@ -147,6 +152,15 @@ impl LocalWindowBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn clocked(op: OpKind, size: usize, nanos: u64) -> OpSample {
+        OpSample {
+            op,
+            size,
+            alloc: cs_heap::AllocDelta::default(),
+            nanos: Some(nanos),
+        }
+    }
 
     #[test]
     fn record_accumulates_counts_size_and_ops() {
@@ -165,12 +179,11 @@ mod tests {
     #[test]
     fn drain_resets_everything() {
         let mut buf = LocalWindowBuffer::new();
-        buf.record(OpKind::Middle, 9);
-        buf.add_nanos(100);
+        buf.absorb(&clocked(OpKind::Middle, 9, 100));
         let _ = buf.drain();
         assert!(buf.is_empty());
         assert_eq!(buf.ops_buffered(), 0);
-        assert_eq!(buf.nanos_buffered(), 0);
+        assert_eq!(buf.timing_buffered(), OpTiming::default());
         let p = buf.drain();
         assert_eq!(p.total_ops(), 0);
         assert_eq!(p.max_size(), 0);
@@ -179,16 +192,14 @@ mod tests {
     #[test]
     fn merge_folds_and_empties_source() {
         let mut a = LocalWindowBuffer::new();
-        a.record(OpKind::Contains, 4);
-        a.add_nanos(10);
+        a.absorb(&clocked(OpKind::Contains, 4, 10));
         let mut b = LocalWindowBuffer::new();
         b.record(OpKind::Iterate, 20);
-        b.record(OpKind::Contains, 2);
-        b.add_nanos(30);
+        b.absorb(&clocked(OpKind::Contains, 2, 30));
         a.merge(&mut b);
         assert!(b.is_empty());
         assert_eq!(a.ops_buffered(), 3);
-        assert_eq!(a.nanos_buffered(), 40);
+        assert_eq!(a.timing_buffered(), OpTiming::new(40, 2));
         let p = a.drain();
         assert_eq!(p.count(OpKind::Contains), 2);
         assert_eq!(p.count(OpKind::Iterate), 1);
@@ -236,10 +247,31 @@ mod tests {
     }
 
     #[test]
-    fn nanos_saturate() {
+    fn absorb_counts_allocs_and_clocked_time() {
         let mut buf = LocalWindowBuffer::new();
-        buf.add_nanos(u64::MAX);
-        buf.add_nanos(1);
-        assert_eq!(buf.nanos_buffered(), u64::MAX);
+        let alloc = cs_heap::AllocDelta {
+            count: 1,
+            bytes: 64,
+        };
+        buf.absorb(&OpSample {
+            op: OpKind::Populate,
+            size: 7,
+            alloc,
+            nanos: None,
+        });
+        buf.absorb(&OpSample {
+            op: OpKind::Contains,
+            size: 7,
+            alloc,
+            nanos: Some(12),
+        });
+        assert_eq!(buf.ops_buffered(), 2);
+        assert_eq!(
+            (buf.alloc_count_buffered(), buf.alloc_bytes_buffered()),
+            (2, 128)
+        );
+        let p = buf.drain();
+        assert_eq!(p.max_size(), 7);
+        assert_eq!(p.timing(), OpTiming::new(12, 1));
     }
 }

@@ -12,6 +12,7 @@
 
 use crate::op::{OpCounters, OpKind};
 use crate::profile::WorkloadProfile;
+use crate::record::OpTiming;
 
 /// Number of power-of-two buckets (covers sizes up to 2⁶³).
 const BUCKETS: usize = 64;
@@ -51,7 +52,7 @@ pub struct ProfileHistogram {
     buckets: Vec<Option<BucketAgg>>,
     instances: u64,
     totals: OpCounters,
-    total_nanos: u64,
+    timing: OpTiming,
     contended: u64,
     alloc_count: u64,
     alloc_bytes: u64,
@@ -64,7 +65,7 @@ impl ProfileHistogram {
             buckets: vec![None; BUCKETS],
             instances: 0,
             totals: OpCounters::new(),
-            total_nanos: 0,
+            timing: OpTiming::default(),
             contended: 0,
             alloc_count: 0,
             alloc_bytes: 0,
@@ -107,7 +108,7 @@ impl ProfileHistogram {
         }
         self.instances += 1;
         self.totals.merge(profile.counters());
-        self.total_nanos = self.total_nanos.saturating_add(profile.elapsed_nanos());
+        self.timing.merge(profile.timing());
         self.contended = self.contended.saturating_add(profile.contended());
         self.alloc_count = self.alloc_count.saturating_add(profile.alloc_count());
         self.alloc_bytes = self.alloc_bytes.saturating_add(profile.alloc_bytes());
@@ -133,10 +134,11 @@ impl ProfileHistogram {
         self.totals.total()
     }
 
-    /// Total measured wall time (nanoseconds) over all aggregated instances;
-    /// 0 when the profiles carried no timing.
-    pub fn total_nanos(&self) -> u64 {
-        self.total_nanos
+    /// Sampled wall time over all aggregated instances: clocked nanos and
+    /// clocked ops. Its [`nanos_per_op`](OpTiming::nanos_per_op) is the
+    /// aggregate's measured cost per op.
+    pub fn timing(&self) -> OpTiming {
+        self.timing
     }
 
     /// Total contended operations over all aggregated instances.
@@ -221,7 +223,7 @@ impl ProfileHistogram {
         }
         self.instances = scale(self.instances);
         self.totals = self.totals.scaled(factor);
-        self.total_nanos = scale(self.total_nanos);
+        self.timing = self.timing.scaled(factor);
         self.contended = scale(self.contended);
         self.alloc_count = scale(self.alloc_count);
         self.alloc_bytes = scale(self.alloc_bytes);
@@ -234,7 +236,7 @@ impl ProfileHistogram {
         }
         self.instances = 0;
         self.totals = OpCounters::new();
-        self.total_nanos = 0;
+        self.timing = OpTiming::default();
         self.contended = 0;
         self.alloc_count = 0;
         self.alloc_bytes = 0;
@@ -366,17 +368,18 @@ mod tests {
     }
 
     #[test]
-    fn total_nanos_accumulates_decays_and_clears() {
+    fn timing_accumulates_decays_and_clears() {
         let mut h = ProfileHistogram::new();
         let mut c = OpCounters::new();
         c.add(OpKind::Contains, 1);
         h.add(&WorkloadProfile::with_nanos(c, 10, 600));
         h.add(&WorkloadProfile::with_nanos(c, 10, 400));
-        assert_eq!(h.total_nanos(), 1000);
+        assert_eq!(h.timing(), OpTiming::new(1000, 2));
+        assert_eq!(h.timing().nanos_per_op(), Some(500.0));
         h.decay(0.5);
-        assert_eq!(h.total_nanos(), 500);
+        assert_eq!(h.timing(), OpTiming::new(500, 1));
         h.clear();
-        assert_eq!(h.total_nanos(), 0);
+        assert_eq!(h.timing(), OpTiming::default());
     }
 
     #[test]

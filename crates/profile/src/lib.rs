@@ -11,6 +11,14 @@
 //! folded into a [`WorkloadProfile`] and pushed into the context's
 //! [`ProfileSink`].
 //!
+//! Every monitored op — on a `cs-core` handle or a `cs-runtime` site —
+//! goes through one recording primitive, [`record_op`]: it counts the op,
+//! attributes its allocations, wall-clocks one op in `2^k`, and owns the
+//! op's trace span. [`OpRecorder`] (one handle) and [`LocalWindowBuffer`]
+//! (one thread's share of a concurrent site) absorb its [`OpSample`]s.
+//! Sampled time travels as an [`OpTiming`] — clocked nanos plus clocked
+//! ops — and is never scaled up.
+//!
 //! [`WindowConfig`]/[`WindowState`] implement the paper's *monitored window*
 //! and *finished ratio*: a context monitors `window_size` instances per
 //! round and only analyzes the round once at least `finished_ratio` of them
@@ -41,6 +49,7 @@ mod buffer;
 mod histogram;
 mod op;
 mod profile;
+mod record;
 mod sink;
 mod window;
 
@@ -48,5 +57,6 @@ pub use buffer::LocalWindowBuffer;
 pub use histogram::{BucketAgg, ProfileHistogram};
 pub use op::{OpCounters, OpKind, OpRecorder};
 pub use profile::WorkloadProfile;
+pub use record::{record_op, OpSample, OpTiming, DESCHEDULED_NANOS};
 pub use sink::ProfileSink;
 pub use window::{WindowConfig, WindowState};

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::record::{OpSample, OpTiming};
+
 /// The paper's *critical operations* (§4.1.2): operations with at least
 /// linear asymptotic cost in some variant, which are therefore the only ones
 /// the performance models need to distinguish variants.
@@ -136,7 +138,8 @@ impl OpCounters {
 ///
 /// Single-owner by design: a monitored handle is not shared, so plain fields
 /// beat atomics — this is where the framework's "very low overhead" claim is
-/// won or lost (paper Fig. 7).
+/// won or lost (paper Fig. 7). The handle feeds it through
+/// [`record_op`](crate::record_op) and [`OpRecorder::absorb`].
 ///
 /// # Examples
 ///
@@ -153,7 +156,7 @@ impl OpCounters {
 pub struct OpRecorder {
     counters: OpCounters,
     max_size: usize,
-    elapsed_nanos: u64,
+    timing: OpTiming,
     alloc_count: u64,
     alloc_bytes: u64,
 }
@@ -162,6 +165,18 @@ impl OpRecorder {
     /// Creates a recorder with zeroed state.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Folds one measured op into the recorder: its count, size,
+    /// attributed allocations and, when it was clocked, its wall time.
+    #[inline]
+    pub fn absorb(&mut self, sample: &OpSample) {
+        self.record(sample.op);
+        self.observe_size(sample.size);
+        self.add_alloc(sample.alloc.count, sample.alloc.bytes);
+        if let Some(nanos) = sample.nanos {
+            self.timing.add_op(nanos);
+        }
     }
 
     /// Records one execution of `op`.
@@ -178,14 +193,6 @@ impl OpRecorder {
         }
     }
 
-    /// Adds wall time spent inside critical operations. The selection
-    /// guardrails use the accumulated nanos to verify that a switch
-    /// realized the improvement the cost model predicted.
-    #[inline]
-    pub fn add_nanos(&mut self, nanos: u64) {
-        self.elapsed_nanos = self.elapsed_nanos.saturating_add(nanos);
-    }
-
     /// Current counters.
     pub fn counters(&self) -> &OpCounters {
         &self.counters
@@ -196,14 +203,15 @@ impl OpRecorder {
         self.max_size
     }
 
-    /// Wall time accumulated via [`OpRecorder::add_nanos`].
-    pub fn elapsed_nanos(&self) -> u64 {
-        self.elapsed_nanos
+    /// Sampled wall time accumulated so far. The selection guardrails use
+    /// it to verify that a switch realized the improvement the cost model
+    /// predicted.
+    pub fn timing(&self) -> OpTiming {
+        self.timing
     }
 
     /// Adds heap churn attributed to critical operations: allocation events
-    /// and requested bytes, measured per-site by `cs-heap` guards the same
-    /// way sampled wall time is measured for [`add_nanos`](OpRecorder::add_nanos).
+    /// and requested bytes, measured per op by `cs-heap` guards.
     #[inline]
     pub fn add_alloc(&mut self, count: u64, bytes: u64) {
         self.alloc_count = self.alloc_count.saturating_add(count);
@@ -222,7 +230,8 @@ impl OpRecorder {
 
     /// Consumes the recorder into an immutable [`WorkloadProfile`](crate::WorkloadProfile).
     pub fn finish(self) -> crate::WorkloadProfile {
-        crate::WorkloadProfile::with_nanos(self.counters, self.max_size, self.elapsed_nanos)
+        crate::WorkloadProfile::new(self.counters, self.max_size)
+            .with_timing(self.timing)
             .with_alloc(self.alloc_count, self.alloc_bytes)
     }
 }
@@ -309,13 +318,24 @@ mod tests {
     }
 
     #[test]
-    fn nanos_accumulate_and_saturate() {
+    fn absorb_counts_sizes_allocs_and_clocked_time() {
         let mut r = OpRecorder::new();
-        r.add_nanos(40);
-        r.add_nanos(2);
-        assert_eq!(r.elapsed_nanos(), 42);
-        r.add_nanos(u64::MAX);
-        assert_eq!(r.elapsed_nanos(), u64::MAX);
-        assert_eq!(r.finish().elapsed_nanos(), u64::MAX);
+        let sample = |size, count, nanos| OpSample {
+            op: OpKind::Populate,
+            size,
+            alloc: cs_heap::AllocDelta {
+                count,
+                bytes: count * 16,
+            },
+            nanos,
+        };
+        r.absorb(&sample(1, 1, None));
+        r.absorb(&sample(2, 0, Some(90)));
+        r.absorb(&sample(3, 1, None));
+        assert_eq!(r.counters().count(OpKind::Populate), 3);
+        assert_eq!(r.max_size(), 3);
+        assert_eq!((r.alloc_count(), r.alloc_bytes()), (2, 32));
+        assert_eq!(r.timing(), OpTiming::new(90, 1));
+        assert_eq!(r.finish().timing(), OpTiming::new(90, 1));
     }
 }

@@ -1,6 +1,7 @@
 //! The workload profile of a finished collection instance.
 
 use crate::op::{OpCounters, OpKind};
+use crate::record::OpTiming;
 
 /// The workload observed over one monitored collection instance's lifetime:
 /// per-operation counts `N_op` plus the maximum size `s` the instance reached
@@ -21,7 +22,7 @@ use crate::op::{OpCounters, OpKind};
 pub struct WorkloadProfile {
     counters: OpCounters,
     max_size: usize,
-    elapsed_nanos: u64,
+    timing: OpTiming,
     contended: u64,
     alloc_count: u64,
     alloc_bytes: u64,
@@ -33,24 +34,27 @@ impl WorkloadProfile {
         WorkloadProfile {
             counters,
             max_size,
-            elapsed_nanos: 0,
+            timing: OpTiming::default(),
             contended: 0,
             alloc_count: 0,
             alloc_bytes: 0,
         }
     }
 
-    /// Builds a profile that also carries measured wall time spent in
-    /// critical operations (what monitored handles record).
+    /// Builds a profile in which *every* operation was clocked, taking
+    /// `elapsed_nanos` in total.
     pub fn with_nanos(counters: OpCounters, max_size: usize, elapsed_nanos: u64) -> Self {
-        WorkloadProfile {
-            counters,
-            max_size,
-            elapsed_nanos,
-            contended: 0,
-            alloc_count: 0,
-            alloc_bytes: 0,
-        }
+        let timed_ops = counters.total();
+        WorkloadProfile::new(counters, max_size)
+            .with_timing(OpTiming::new(elapsed_nanos, timed_ops))
+    }
+
+    /// Sets the sampled wall time — clocked nanos and clocked ops — and
+    /// returns `self`, builder style like
+    /// [`with_contended`](WorkloadProfile::with_contended).
+    pub fn with_timing(mut self, timing: OpTiming) -> Self {
+        self.timing = timing;
+        self
     }
 
     /// Sets the number of operations that observed contention (lock wait
@@ -116,11 +120,17 @@ impl WorkloadProfile {
         }
     }
 
-    /// Measured wall time (nanoseconds) spent in critical operations over
-    /// the instance's lifetime; 0 when timing was not recorded.
+    /// Sampled wall time of the clocked critical operations.
+    #[inline]
+    pub fn timing(&self) -> OpTiming {
+        self.timing
+    }
+
+    /// Wall nanoseconds summed over the clocked operations; 0 when timing
+    /// was not recorded.
     #[inline]
     pub fn elapsed_nanos(&self) -> u64 {
-        self.elapsed_nanos
+        self.timing.nanos
     }
 
     /// The count for `op` over the instance's lifetime.
@@ -156,7 +166,7 @@ impl WorkloadProfile {
     pub fn merge(&mut self, other: &WorkloadProfile) {
         self.counters.merge(&other.counters);
         self.max_size = self.max_size.max(other.max_size);
-        self.elapsed_nanos = self.elapsed_nanos.saturating_add(other.elapsed_nanos);
+        self.timing.merge(other.timing);
         self.contended = self.contended.saturating_add(other.contended);
         self.alloc_count = self.alloc_count.saturating_add(other.alloc_count);
         self.alloc_bytes = self.alloc_bytes.saturating_add(other.alloc_bytes);
@@ -231,5 +241,16 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.elapsed_nanos(), 150);
         assert_eq!(a.max_size(), 5);
+    }
+
+    #[test]
+    fn with_nanos_clocks_every_op_and_timing_merges() {
+        let mut a = WorkloadProfile::with_nanos(*profile(3, 1, 4).counters(), 4, 400);
+        assert_eq!(a.timing(), OpTiming::new(400, 4));
+        let b = profile(60, 4, 4).with_timing(OpTiming::new(100, 1));
+        a.merge(&b);
+        assert_eq!(a.timing(), OpTiming::new(500, 5));
+        assert_eq!(a.timing().nanos_per_op(), Some(100.0));
+        assert_eq!(a.total_ops(), 68);
     }
 }

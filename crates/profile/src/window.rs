@@ -3,6 +3,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
+use crate::record::OpTiming;
+
 /// Configuration of a context's monitoring round.
 ///
 /// Defaults are the paper's evaluation settings (§5): window size 100,
@@ -37,6 +39,12 @@ pub struct WindowConfig {
     /// recent windows dominate, which is what lets contexts re-converge on
     /// phase changes (paper Fig. 6).
     pub history_decay: f64,
+    /// Minimum number of clocked ops a window needs before its sampled
+    /// time is trusted. Monitored ops are wall-clocked one in `2^k`, so a
+    /// window with few ops carries few timings; below this count the
+    /// window is unverifiable — it neither serves as a post-switch
+    /// verification baseline nor triggers a rollback.
+    pub min_timed_ops: u64,
 }
 
 impl Default for WindowConfig {
@@ -47,6 +55,7 @@ impl Default for WindowConfig {
             monitoring_rate: Duration::from_millis(50),
             min_samples: 10,
             history_decay: 0.5,
+            min_timed_ops: 64,
         }
     }
 }
@@ -56,6 +65,16 @@ impl WindowConfig {
     /// instances were actually monitored this round.
     pub fn required_finished(&self, started: usize) -> usize {
         ((self.finished_ratio * started as f64).ceil() as usize).max(1)
+    }
+
+    /// The measured cost per op of a window's sampled time, or `None` when
+    /// the window clocked fewer than [`min_timed_ops`](WindowConfig::min_timed_ops)
+    /// ops (or no time at all).
+    pub fn verifiable_nanos_per_op(&self, timing: OpTiming) -> Option<f64> {
+        if timing.ops < self.min_timed_ops.max(1) {
+            return None;
+        }
+        timing.nanos_per_op()
     }
 
     /// Whether a round with `started` monitored instances of which
@@ -160,6 +179,25 @@ mod tests {
         };
         // min_samples is capped at the window size.
         assert!(cfg.round_ready(2, 2));
+    }
+
+    #[test]
+    fn windows_below_min_timed_ops_are_unverifiable() {
+        let cfg = WindowConfig {
+            min_timed_ops: 4,
+            ..WindowConfig::default()
+        };
+        assert_eq!(cfg.verifiable_nanos_per_op(OpTiming::new(300, 3)), None);
+        assert_eq!(
+            cfg.verifiable_nanos_per_op(OpTiming::new(400, 4)),
+            Some(100.0)
+        );
+        assert_eq!(cfg.verifiable_nanos_per_op(OpTiming::new(0, 40)), None);
+        let zero = WindowConfig {
+            min_timed_ops: 0,
+            ..cfg
+        };
+        assert_eq!(zero.verifiable_nanos_per_op(OpTiming::default()), None);
     }
 
     #[test]

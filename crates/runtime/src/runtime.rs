@@ -26,8 +26,9 @@ pub struct RuntimeConfig {
     /// Time trigger: a buffer older than this flushes on the next op that
     /// probes the clock (every 64 ops). Bounds staleness on quiet threads.
     pub flush_interval: Duration,
-    /// Timing sample rate as a power of two: 1 op in `1 << sample_shift` is
-    /// wall-clocked and scaled up. `0` times every op.
+    /// Timing sample rate as a power of two: 1 op in `1 << sample_shift` per
+    /// thread is wall-clocked. `0` times every op. Counts and allocation
+    /// attribution are exact on every op regardless.
     pub sample_shift: u32,
 }
 
@@ -47,7 +48,7 @@ impl RuntimeConfig {
         FlushPolicy {
             flush_ops: self.flush_ops.max(1),
             flush_nanos: u64::try_from(self.flush_interval.as_nanos()).unwrap_or(u64::MAX),
-            sample_mask: (1u64 << self.sample_shift.min(63)) - 1,
+            sample_shift: self.sample_shift,
         }
     }
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use cs_collections::{ConcKind, ListKind, MapKind, SetKind};
 use cs_core::{ContextCore, ContextStats};
-use cs_profile::{OpKind, WorkloadProfile};
+use cs_profile::{OpKind, OpTiming, WorkloadProfile};
 
 /// Flush policy stamped onto every site at creation (from
 /// [`RuntimeConfig`](crate::RuntimeConfig)): when a thread-local buffer
@@ -24,10 +24,9 @@ pub(crate) struct FlushPolicy {
     /// (checked every [`FlushPolicy::CLOCK_CHECK_MASK`]+1 ops, so an idle
     /// buffer can exceed it until the next op or an explicit flush).
     pub flush_nanos: u64,
-    /// Timing-sample mask: an op is wall-clocked when
-    /// `tick & sample_mask == 0`, and the measured nanos are scaled by
-    /// `sample_mask + 1` at record time. `0` times every op.
-    pub sample_mask: u64,
+    /// One op in `2^sample_shift` per thread is wall-clocked by
+    /// [`cs_profile::record_op`]. `0` times every op.
+    pub sample_shift: u32,
 }
 
 impl FlushPolicy {
@@ -108,6 +107,7 @@ pub struct SiteShared {
     policy: FlushPolicy,
     op_totals: [AtomicU64; 4],
     nanos_total: AtomicU64,
+    timed_ops: AtomicU64,
     max_size: AtomicUsize,
     flushes: AtomicU64,
     contended: AtomicU64,
@@ -140,6 +140,7 @@ impl SiteShared {
                 AtomicU64::new(0),
             ],
             nanos_total: AtomicU64::new(0),
+            timed_ops: AtomicU64::new(0),
             max_size: AtomicUsize::new(0),
             flushes: AtomicU64::new(0),
             contended: AtomicU64::new(0),
@@ -193,9 +194,10 @@ impl SiteShared {
                 self.op_totals[op.index()].fetch_add(n, Ordering::Relaxed);
             }
         }
-        let nanos = profile.elapsed_nanos();
-        if nanos > 0 {
-            self.nanos_total.fetch_add(nanos, Ordering::Relaxed);
+        let timing = profile.timing();
+        if timing.ops > 0 {
+            self.nanos_total.fetch_add(timing.nanos, Ordering::Relaxed);
+            self.timed_ops.fetch_add(timing.ops, Ordering::Relaxed);
         }
         if profile.contended() > 0 {
             self.contended
@@ -240,6 +242,7 @@ impl SiteShared {
             ops,
             total_ops: ops.iter().sum(),
             sampled_nanos: self.nanos_total.load(Ordering::Relaxed),
+            timed_ops: self.timed_ops.load(Ordering::Relaxed),
             max_size: self.max_size.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
             contended: self.contended.load(Ordering::Relaxed),
@@ -270,17 +273,20 @@ pub struct SiteStats {
     pub ops: [u64; 4],
     /// Sum of [`SiteStats::ops`].
     pub total_ops: u64,
-    /// Sampled-and-scaled wall time attributed to critical ops.
+    /// Wall time of the clocked critical ops (one in `2^sample_shift`),
+    /// not scaled up; see [`SiteStats::nanos_per_op`].
     pub sampled_nanos: u64,
+    /// Number of clocked critical ops behind [`SiteStats::sampled_nanos`].
+    pub timed_ops: u64,
     /// Largest post-op shard size observed.
     pub max_size: usize,
     /// Thread-local buffer flushes into this site.
     pub flushes: u64,
     /// Contended shard-lock acquisitions.
     pub contended: u64,
-    /// Sampled-and-scaled allocation events attributed to critical ops.
+    /// Allocation events attributed to critical ops (exact, every op).
     pub alloc_count: u64,
-    /// Sampled-and-scaled allocation bytes attributed to critical ops.
+    /// Allocation bytes attributed to critical ops (exact, every op).
     pub alloc_bytes: u64,
     /// Engine analysis rounds completed for this site.
     pub rounds: u64,
@@ -291,8 +297,15 @@ pub struct SiteStats {
 }
 
 impl SiteStats {
+    /// Measured wall nanoseconds per critical op — sampled nanos over
+    /// clocked ops, the same estimator post-switch verification uses;
+    /// `None` before any op was clocked.
+    pub fn nanos_per_op(&self) -> Option<f64> {
+        OpTiming::new(self.sampled_nanos, self.timed_ops).nanos_per_op()
+    }
+
     /// Mean attributed allocation bytes per critical op; `0.0` before any
-    /// ops flushed. Sampled estimate under `sample_mask > 0`.
+    /// ops flushed.
     pub fn alloc_bytes_per_op(&self) -> f64 {
         if self.total_ops == 0 {
             0.0

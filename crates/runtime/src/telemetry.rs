@@ -32,6 +32,8 @@ pub fn site_stats_to_json(stats: &SiteStats) -> Json {
     row.field("ops", ops)
         .field("total_ops", stats.total_ops)
         .field("sampled_nanos", stats.sampled_nanos)
+        .field("timed_ops", stats.timed_ops)
+        .field("nanos_per_op", stats.nanos_per_op().unwrap_or(0.0))
         .field("max_size", stats.max_size)
         .field("flushes", stats.flushes)
         .field("contended", stats.contended)
@@ -89,7 +91,7 @@ impl Runtime {
                     )
                     .set_total(stats.ops[op.index()]);
             }
-            let totals: [(&str, &str, u64); 8] = [
+            let totals: [(&str, &str, u64); 9] = [
                 (
                     "cs_runtime_site_flushes_total",
                     "Thread-local buffer flushes per site.",
@@ -102,17 +104,22 @@ impl Runtime {
                 ),
                 (
                     "cs_runtime_site_sampled_nanos_total",
-                    "Sampled-and-scaled wall time attributed to critical ops, nanoseconds.",
+                    "Wall time of the clocked critical ops, nanoseconds (not scaled up).",
                     stats.sampled_nanos,
                 ),
                 (
+                    "cs_runtime_site_timed_ops_total",
+                    "Clocked critical ops behind cs_runtime_site_sampled_nanos_total.",
+                    stats.timed_ops,
+                ),
+                (
                     "cs_runtime_site_alloc_count_total",
-                    "Sampled-and-scaled allocation events attributed to critical ops per site.",
+                    "Allocation events attributed to critical ops per site.",
                     stats.alloc_count,
                 ),
                 (
                     "cs_runtime_site_alloc_bytes_total",
-                    "Sampled-and-scaled allocation bytes attributed to critical ops per site.",
+                    "Allocation bytes attributed to critical ops per site.",
                     stats.alloc_bytes,
                 ),
                 (
@@ -151,6 +158,15 @@ impl Runtime {
                     &[("site", site)],
                 )
                 .set(contention_ratio(stats));
+            registry
+                .float_gauge(
+                    "cs_runtime_site_nanos_per_op",
+                    "Measured wall nanoseconds per critical op per site: \
+                     sampled nanos / clocked ops, the estimator post-switch \
+                     verification uses (zero before any op was clocked).",
+                    &[("site", site)],
+                )
+                .set(stats.nanos_per_op().unwrap_or(0.0));
             registry
                 .float_gauge(
                     "cs_runtime_site_alloc_bytes_per_op",

@@ -18,14 +18,17 @@
 //!   happens-before edge to the analyzer; the relaxed totals are *counters*,
 //!   read only after joining worker threads (join provides the edge) or as
 //!   monotonic monitoring values where momentary staleness is fine.
-//! * Timing is sampled: one op in `sample_mask + 1` is wall-clocked and its
-//!   nanos scaled up, so the common op pays no `Instant::now()` call.
+//! * Every op goes through the shared recording primitive
+//!   [`cs_profile::record_op`]: allocations are attributed on every op, and
+//!   one op in `2^sample_shift` per thread is wall-clocked, so the common op
+//!   pays no `Instant::now()` call. Sampled time is not scaled: the buffer
+//!   carries the clocked nanos with the clocked-op count.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cs_profile::{LocalWindowBuffer, OpKind};
+use cs_profile::{record_op, LocalWindowBuffer, OpKind};
 
 use crate::site::{FlushPolicy, SiteShared};
 
@@ -92,39 +95,19 @@ impl Drop for LocalBuffers {
 }
 
 thread_local! {
-    /// Per-thread op tick, used only for the timing-sample decision.
-    static TICK: Cell<u64> = const { Cell::new(0) };
     static TLB: RefCell<LocalBuffers> = RefCell::new(LocalBuffers::default());
 }
 
 /// Runs `body` as one critical op of `site`, recording it into the calling
 /// thread's local buffer and flushing on epoch boundaries.
 ///
-/// `body` returns `(result, post_op_size)`; it executes *outside* any
+/// `body` returns `(result, post_op_size, contended)`; the contended flag
+/// (lost a CAS, found a lock held, helped a migration) is counted in the
+/// thread-local buffer, flows into the flushed
+/// [`WorkloadProfile`](cs_profile::WorkloadProfile), and from there feeds
+/// the strategy tier's contention cost term. `body` executes *outside* any
 /// thread-local borrow, so collection code (including user `Hash`/`Eq`
 /// impls) can never conflict with the buffer bookkeeping.
-#[inline]
-// Every product op path now reports a contention flag and calls
-// `site_op_tracked` directly; this untracked wrapper stays as the
-// single-threaded-handle entry point (and is exercised by the unit tests).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn site_op<R>(
-    site: &Arc<SiteShared>,
-    op: OpKind,
-    body: impl FnOnce() -> (R, usize),
-) -> R {
-    site_op_tracked(site, op, || {
-        let (result, size) = body();
-        (result, size, false)
-    })
-}
-
-/// Like [`site_op`], for ops that also observe whether they were
-/// *contended* (lost a CAS, found a lock held, helped a migration).
-/// `body` returns `(result, post_op_size, contended)`; the contended flag
-/// is counted in the thread-local buffer, flows into the flushed
-/// [`WorkloadProfile`](cs_profile::WorkloadProfile), and from there feeds
-/// the strategy tier's contention cost term.
 #[inline]
 pub(crate) fn site_op_tracked<R>(
     site: &Arc<SiteShared>,
@@ -132,59 +115,35 @@ pub(crate) fn site_op_tracked<R>(
     body: impl FnOnce() -> (R, usize, bool),
 ) -> R {
     let policy = site.policy();
-    let tick = TICK.with(|t| {
-        let v = t.get().wrapping_add(1);
-        t.set(v);
-        v
-    });
-    let timed = tick & policy.sample_mask == 0;
-    let (result, size, contended, nanos, alloc) = if timed {
-        // The sampled op is measured on both axes at once: wall time and
-        // heap churn. The attribution guard nests correctly, so a user
-        // `Hash` impl touching *another* monitored site never charges its
-        // allocations to this one.
-        let guard = cs_heap::AllocGuard::begin();
-        let start = Instant::now();
-        let (result, size, contended) = body();
-        let nanos = start.elapsed().as_nanos() as u64;
-        let alloc = guard.finish();
-        (result, size, contended, nanos, alloc)
-    } else {
-        let (result, size, contended) = body();
-        (result, size, contended, 0, cs_heap::AllocDelta::default())
-    };
-    // Spans only the monitoring bookkeeping below — the application op
-    // itself (`body`) stays outside the framework's account. Sampled in
-    // `TraceMode::Sampled`, so the common op adds one atomic load.
-    let _record_span = cs_trace::op_span(site.id());
-    TLB.with(|tlb| {
-        let mut tlb = tlb.borrow_mut();
-        let entry = tlb.entry(site);
-        entry.buf.record(op, size);
-        if contended {
-            entry.buf.note_contended();
-        }
-        if timed {
-            // Scale the sampled measurements back up to the full op stream.
-            let scale = policy.sample_mask + 1;
-            entry.buf.add_nanos(nanos.saturating_mul(scale));
-            if alloc.count > 0 {
-                entry.buf.add_alloc(
-                    alloc.count.saturating_mul(scale),
-                    alloc.bytes.saturating_mul(scale),
-                );
-            }
-        }
-        let buffered = entry.buf.ops_buffered();
-        if buffered >= policy.flush_ops {
-            entry.flush(Instant::now());
-        } else if buffered & FlushPolicy::CLOCK_CHECK_MASK == 0 {
-            let now = Instant::now();
-            if now.duration_since(entry.last_flush).as_nanos() as u64 >= policy.flush_nanos {
-                entry.flush(now);
-            }
-        }
-    });
+    let (result, _) = record_op(
+        site.id(),
+        policy.sample_shift,
+        op,
+        || {
+            let (result, size, contended) = body();
+            ((result, contended), size)
+        },
+        |&(_, contended), sample| {
+            TLB.with(|tlb| {
+                let mut tlb = tlb.borrow_mut();
+                let entry = tlb.entry(site);
+                entry.buf.absorb(sample);
+                if contended {
+                    entry.buf.note_contended();
+                }
+                let buffered = entry.buf.ops_buffered();
+                if buffered >= policy.flush_ops {
+                    entry.flush(Instant::now());
+                } else if buffered & FlushPolicy::CLOCK_CHECK_MASK == 0 {
+                    let now = Instant::now();
+                    if now.duration_since(entry.last_flush).as_nanos() as u64 >= policy.flush_nanos
+                    {
+                        entry.flush(now);
+                    }
+                }
+            })
+        },
+    );
     result
 }
 
@@ -204,6 +163,10 @@ mod tests {
     use cs_collections::MapKind;
     use cs_core::Switch;
 
+    fn site_op(site: &Arc<SiteShared>, op: OpKind, size: usize) {
+        site_op_tracked(site, op, || ((), size, false));
+    }
+
     fn test_site(flush_ops: u64) -> Arc<SiteShared> {
         let engine = Switch::builder().build();
         let ctx = engine.named_map_context::<u64, u64>(MapKind::Chained, "tlb-test");
@@ -214,7 +177,7 @@ mod tests {
             FlushPolicy {
                 flush_ops,
                 flush_nanos: u64::MAX,
-                sample_mask: 0,
+                sample_shift: 0,
             },
         ))
     }
@@ -223,12 +186,12 @@ mod tests {
     fn ops_buffer_locally_until_count_trigger() {
         let site = test_site(10);
         for i in 0..9 {
-            site_op(&site, OpKind::Populate, || ((), i));
+            site_op(&site, OpKind::Populate, i);
         }
         // Nine ops buffered: nothing shared yet.
         assert_eq!(site.stats().total_ops, 0);
         assert_eq!(site.stats().flushes, 0);
-        site_op(&site, OpKind::Populate, || ((), 9));
+        site_op(&site, OpKind::Populate, 9);
         // The tenth op crossed the epoch: one flush carrying all ten.
         let stats = site.stats();
         assert_eq!(stats.total_ops, 10);
@@ -242,7 +205,7 @@ mod tests {
     fn explicit_flush_retires_partial_buffers() {
         let site = test_site(1_000_000);
         for _ in 0..5 {
-            site_op(&site, OpKind::Contains, || ((), 3));
+            site_op(&site, OpKind::Contains, 3);
         }
         assert_eq!(site.stats().total_ops, 0);
         flush_current_thread();
@@ -258,7 +221,7 @@ mod tests {
         let s = Arc::clone(&site);
         std::thread::spawn(move || {
             for _ in 0..17 {
-                site_op(&s, OpKind::Middle, || ((), 1));
+                site_op(&s, OpKind::Middle, 1);
             }
             // No explicit flush: the TLS destructor must retire the buffer.
         })
@@ -268,18 +231,17 @@ mod tests {
     }
 
     #[test]
-    fn sampled_timing_accumulates_scaled_nanos() {
+    fn shift_zero_clocks_every_op() {
         let site = test_site(4);
         for _ in 0..64 {
-            site_op(&site, OpKind::Contains, || {
+            site_op_tracked(&site, OpKind::Contains, || {
                 std::hint::black_box((0..50).sum::<u64>());
-                ((), 1)
+                ((), 1, false)
             });
         }
         flush_current_thread();
-        assert!(
-            site.stats().sampled_nanos > 0,
-            "mask 0 times every op, so nanos must accumulate"
-        );
+        let stats = site.stats();
+        assert_eq!(stats.timed_ops, 64, "shift 0 clocks every op");
+        assert!(stats.sampled_nanos > 0);
     }
 }

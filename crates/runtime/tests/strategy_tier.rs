@@ -25,6 +25,7 @@ fn fast_window() -> WindowConfig {
         monitoring_rate: Duration::from_millis(5),
         min_samples: 5,
         history_decay: 0.5,
+        ..WindowConfig::default()
     }
 }
 
@@ -229,13 +230,21 @@ fn migration_under_concurrent_mutation_loses_nothing() {
     const THREADS: u64 = 4;
     const KEYS: u64 = 512;
     const ROUNDS: u64 = 40;
+    // Workers keep mutating past ROUNDS until the strategy migration has
+    // happened under them: the test waits on the event, not on an op count
+    // that may finish before the analyzer flips. The deadline only bounds a
+    // broken build; the assertion below then reports the missing migration.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
     let totals: Vec<u64> = (0..THREADS)
         .map(|t| {
             let map = map.clone();
             std::thread::spawn(move || {
                 let base = t * KEYS;
                 let mut ops = 0u64;
-                for round in 0..ROUNDS {
+                let mut round = 0;
+                while round < ROUNDS
+                    || (map.strategy_migrations() == 0 && std::time::Instant::now() < deadline)
+                {
                     for i in 0..KEYS {
                         let key = base + i;
                         if round == 0 {
@@ -249,6 +258,7 @@ fn migration_under_concurrent_mutation_loses_nothing() {
                         }
                         ops += 1;
                     }
+                    round += 1;
                 }
                 ops
             })

@@ -20,6 +20,7 @@ fn fast_window() -> WindowConfig {
         monitoring_rate: Duration::from_millis(5),
         min_samples: 5,
         history_decay: 0.5,
+        ..WindowConfig::default()
     }
 }
 

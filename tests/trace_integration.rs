@@ -66,6 +66,7 @@ fn spans_agree_with_engine_accounting_under_concurrent_stress() {
                 monitoring_rate: Duration::from_millis(5),
                 min_samples: 5,
                 history_decay: 0.5,
+                ..collection_switch::profile::WindowConfig::default()
             })
             .build(),
         RuntimeConfig {
@@ -185,4 +186,32 @@ fn spans_agree_with_engine_accounting_under_concurrent_stress() {
         saw_nested,
         "the ingest path must have produced nested spans (Flush > Ingest > Flush)"
     );
+
+    // -- Monitored handles: one OpRecord span per op ----------------------
+    // Single-owner handles record through the same primitive as runtime
+    // sites, so full mode spans every monitored handle op — and no
+    // unmonitored one.
+    trace::reset();
+    trace::set_mode(TraceMode::Full);
+    let engine = Switch::builder()
+        .window(collection_switch::profile::WindowConfig {
+            window_size: 1,
+            min_samples: 1,
+            ..collection_switch::profile::WindowConfig::default()
+        })
+        .build();
+    let ctx = engine.list_context::<u64>(ListKind::Array);
+    let mut monitored = ctx.create_list();
+    let mut unmonitored = ctx.create_list();
+    assert!(monitored.is_monitored() && !unmonitored.is_monitored());
+    const HANDLE_OPS: u64 = 1_000;
+    for v in 0..HANDLE_OPS / 2 {
+        monitored.push(v);
+        monitored.contains(&v);
+        unmonitored.push(v);
+        unmonitored.contains(&v);
+    }
+    let snap = trace::snapshot();
+    trace::set_mode(TraceMode::Off);
+    assert_eq!(snap.phase_counts()[Phase::OpRecord.index()], HANDLE_OPS);
 }
