@@ -68,17 +68,6 @@ pub struct ContextCore<K: Kind> {
 }
 
 impl<K: Kind> ContextCore<K> {
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn new(id: u64, name: String, default_kind: K, config: WindowConfig) -> Self {
-        Self::with_freeze(
-            id,
-            name,
-            default_kind,
-            config,
-            Arc::new(AtomicBool::new(false)),
-        )
-    }
-
     pub(crate) fn with_freeze(
         id: u64,
         name: String,
@@ -608,8 +597,13 @@ mod tests {
         }
     }
 
+    fn unfrozen_list_core(name: &str, cfg: WindowConfig) -> ContextCore<ListKind> {
+        let frozen = Arc::new(AtomicBool::new(false));
+        ContextCore::with_freeze(1, name.into(), ListKind::Array, cfg, frozen)
+    }
+
     fn list_core() -> ContextCore<ListKind> {
-        ContextCore::new(1, "site".into(), ListKind::Array, test_config())
+        unfrozen_list_core("site", test_config())
     }
 
     #[test]
@@ -892,7 +886,7 @@ mod tests {
             min_timed_ops,
             ..test_config()
         };
-        ContextCore::new(1, "site".into(), ListKind::Array, cfg)
+        unfrozen_list_core("site", cfg)
     }
 
     #[test]
@@ -1146,7 +1140,7 @@ mod tests {
             history_decay: 0.5,
             ..WindowConfig::default()
         };
-        let core = Arc::new(ContextCore::new(1, "big".into(), ListKind::Array, cfg));
+        let core = Arc::new(unfrozen_list_core("big", cfg));
         let ctx: ListContext<i64> = ListContext::from_core(core);
         for _ in 0..1500 {
             let mut l = ctx.create_list();

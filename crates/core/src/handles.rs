@@ -3,9 +3,12 @@
 //! A handle owns the underlying variant (an [`AnyList`]/[`AnySet`]/
 //! [`AnyMap`]) and, when the allocation context sampled this instance for
 //! monitoring, an [`OpRecorder`] fed by the shared op-recording primitive
-//! [`record_op`]: every critical op is counted and its allocations
-//! attributed, and one op in 2^[`HANDLE_SAMPLE_SHIFT`] per thread is
-//! wall-clocked. When the handle is dropped, the recorder is folded into a
+//! [`record_op`] on the instance's own [`OpClock`]: every critical op is
+//! counted and its allocations attributed, and one op in
+//! 2^[`HANDLE_SAMPLE_SHIFT`] is wall-clocked. Only growth ops (populate,
+//! list middle-insert) read a size: a handle starts empty, so its maximum
+//! size is only ever reached by growth. When the handle is dropped, the
+//! recorder is folded into a
 //! [`WorkloadProfile`](cs_profile::WorkloadProfile) and pushed into the
 //! context's sink — the Rust equivalent of the paper's `WeakReference`-based
 //! end-of-life detection (§4.3), but exact and overhead-free.
@@ -13,17 +16,19 @@
 use std::hash::Hash;
 
 use cs_collections::{AnyList, AnyMap, AnySet, HeapSize, ListOps, MapOps, SetOps};
-use cs_profile::{record_op, OpKind, OpRecorder, ProfileSink};
+use cs_profile::{record_op, OpClock, OpKind, OpRecorder, ProfileSink};
 
 /// Monitored handle ops are wall-clocked one in `2^HANDLE_SAMPLE_SHIFT`
-/// (1 in 64) per thread; counts, sizes and allocation attribution stay
-/// exact on every op.
+/// (1 in 64), counted on each instance's own [`OpClock`] from a
+/// per-instance phase; counts, maximum sizes and allocation attribution
+/// stay exact on every op.
 ///
 /// A clocked op pays two `Instant::now()` calls (about 45 ns each on a
 /// 2-vCPU x86 VM with a TSC clock source), several times a raw variant op.
 /// On that host the repository benchmark (`perfbench --workload apps_rtime
 /// --seconds 10`, seeds 101–103) ran FullAdap(R_time) at this fraction of
-/// Original's speed:
+/// Original's speed, when the clock was one per-thread tick read on every
+/// op:
 ///
 /// | clocked ops | `speedup_vs_original` |
 /// |---|---|
@@ -31,6 +36,11 @@ use cs_profile::{record_op, OpKind, OpRecorder, ProfileSink};
 /// | 1 in 8 | 0.74 |
 /// | 1 in 64 | 0.92–0.93 |
 /// | 1 in 256 | 0.96–0.97 |
+///
+/// Keeping the clock state in the instance (no thread-local read, no
+/// allocation guard without a counting allocator) and reading sizes on
+/// growth ops only moved 1 in 64 from a median of 0.88 to 0.93
+/// (`--seconds 30`, seeds 1101–1110).
 ///
 /// 1 in 64 keeps most of the gain while a typical monitoring window
 /// (60 finished instances of about 100 ops) still clocks about 90 ops,
@@ -44,6 +54,7 @@ pub const HANDLE_SAMPLE_SHIFT: u32 = 6;
 #[derive(Debug)]
 pub(crate) struct Monitor {
     recorder: OpRecorder,
+    clock: OpClock,
     sink: ProfileSink,
 }
 
@@ -51,30 +62,43 @@ impl Monitor {
     pub(crate) fn new(sink: ProfileSink) -> Self {
         Monitor {
             recorder: OpRecorder::new(),
+            clock: OpClock::for_instance(HANDLE_SAMPLE_SHIFT),
             sink,
         }
     }
 
     fn finish(self) {
-        let Monitor { recorder, sink } = self;
+        let Monitor { recorder, sink, .. } = self;
         sink.push(recorder.finish());
     }
 }
 
-/// Runs one critical op. `body` returns `(result, size)`, the size read
-/// after the op so growth reports its post-op length. A monitored instance
-/// records the op through [`record_op`]; an unmonitored one runs the body
-/// alone — no tick, no guard, no clock read.
+/// Runs one growth op (populate, list middle-insert). `body` returns
+/// `(result, size)`, the size read after the op so the recorder sees the
+/// post-op length. A monitored instance records the op through
+/// [`record_op`]; an unmonitored one runs the body alone — no tick, no
+/// guard, no clock read.
 #[inline]
-fn observe<R>(monitor: &mut Option<Monitor>, op: OpKind, body: impl FnOnce() -> (R, usize)) -> R {
+fn observe_growth<R>(
+    monitor: &mut Option<Monitor>,
+    op: OpKind,
+    body: impl FnOnce() -> (R, usize),
+) -> R {
     match monitor {
         // Single-owner handles don't know their context id; the op span is
         // site-anonymous (site 0), unlike the runtime's per-site op spans.
-        Some(m) => record_op(0, HANDLE_SAMPLE_SHIFT, op, body, |_, sample| {
+        Some(m) => record_op(&mut m.clock, 0, op, body, |_, sample| {
             m.recorder.absorb(sample)
         }),
         None => body().0,
     }
+}
+
+/// Runs one critical op that cannot grow the collection. It reports size
+/// 0, which never raises the recorded maximum, so the op reads no size.
+#[inline]
+fn observe<R>(monitor: &mut Option<Monitor>, op: OpKind, body: impl FnOnce() -> R) -> R {
+    observe_growth(monitor, op, || (body(), 0))
 }
 
 /// A list handle created by a [`ListContext`](crate::ListContext).
@@ -129,7 +153,7 @@ impl<T: Eq + Hash + Clone> SwitchList<T> {
 
     /// Appends `value` (critical op: *populate*).
     pub fn push(&mut self, value: T) {
-        observe(&mut self.monitor, OpKind::Populate, || {
+        observe_growth(&mut self.monitor, OpKind::Populate, || {
             (
                 ListOps::push(&mut self.inner, value),
                 ListOps::len(&self.inner),
@@ -148,7 +172,7 @@ impl<T: Eq + Hash + Clone> SwitchList<T> {
     ///
     /// Panics if `index > len`.
     pub fn insert(&mut self, index: usize, value: T) {
-        observe(&mut self.monitor, OpKind::Middle, || {
+        observe_growth(&mut self.monitor, OpKind::Middle, || {
             (
                 ListOps::list_insert(&mut self.inner, index, value),
                 ListOps::len(&self.inner),
@@ -163,10 +187,7 @@ impl<T: Eq + Hash + Clone> SwitchList<T> {
     /// Panics if `index >= len`.
     pub fn remove(&mut self, index: usize) -> T {
         observe(&mut self.monitor, OpKind::Middle, || {
-            (
-                ListOps::list_remove(&mut self.inner, index),
-                ListOps::len(&self.inner) + 1,
-            )
+            ListOps::list_remove(&mut self.inner, index)
         })
     }
 
@@ -187,20 +208,14 @@ impl<T: Eq + Hash + Clone> SwitchList<T> {
     /// Membership test (critical op: *contains*).
     pub fn contains(&mut self, value: &T) -> bool {
         observe(&mut self.monitor, OpKind::Contains, || {
-            (
-                ListOps::contains(&self.inner, value),
-                ListOps::len(&self.inner),
-            )
+            ListOps::contains(&self.inner, value)
         })
     }
 
     /// Visits every element in order (critical op: *iterate*).
     pub fn for_each(&mut self, mut f: impl FnMut(&T)) {
         observe(&mut self.monitor, OpKind::Iterate, || {
-            (
-                ListOps::for_each_value(&self.inner, &mut f),
-                ListOps::len(&self.inner),
-            )
+            ListOps::for_each_value(&self.inner, &mut f)
         })
     }
 
@@ -281,7 +296,7 @@ impl<T: Eq + Hash + Clone> SwitchSet<T> {
 
     /// Adds `value` (critical op: *populate*); returns `true` if new.
     pub fn insert(&mut self, value: T) -> bool {
-        observe(&mut self.monitor, OpKind::Populate, || {
+        observe_growth(&mut self.monitor, OpKind::Populate, || {
             (
                 SetOps::insert(&mut self.inner, value),
                 SetOps::len(&self.inner),
@@ -292,30 +307,21 @@ impl<T: Eq + Hash + Clone> SwitchSet<T> {
     /// Membership test (critical op: *contains*).
     pub fn contains(&mut self, value: &T) -> bool {
         observe(&mut self.monitor, OpKind::Contains, || {
-            (
-                SetOps::contains(&self.inner, value),
-                SetOps::len(&self.inner),
-            )
+            SetOps::contains(&self.inner, value)
         })
     }
 
     /// Removes `value` (critical op: *middle*); returns `true` if present.
     pub fn remove(&mut self, value: &T) -> bool {
         observe(&mut self.monitor, OpKind::Middle, || {
-            (
-                SetOps::set_remove(&mut self.inner, value),
-                SetOps::len(&self.inner),
-            )
+            SetOps::set_remove(&mut self.inner, value)
         })
     }
 
     /// Visits every element (critical op: *iterate*).
     pub fn for_each(&mut self, mut f: impl FnMut(&T)) {
         observe(&mut self.monitor, OpKind::Iterate, || {
-            (
-                SetOps::for_each_value(&self.inner, &mut f),
-                SetOps::len(&self.inner),
-            )
+            SetOps::for_each_value(&self.inner, &mut f)
         })
     }
 
@@ -389,7 +395,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SwitchMap<K, V> {
 
     /// Inserts or replaces (critical op: *populate*).
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        observe(&mut self.monitor, OpKind::Populate, || {
+        observe_growth(&mut self.monitor, OpKind::Populate, || {
             (
                 MapOps::map_insert(&mut self.inner, key, value),
                 MapOps::len(&self.inner),
@@ -400,37 +406,28 @@ impl<K: Eq + Hash + Clone, V: Clone> SwitchMap<K, V> {
     /// Key lookup (critical op: *contains*).
     pub fn get(&mut self, key: &K) -> Option<&V> {
         observe(&mut self.monitor, OpKind::Contains, || {
-            (MapOps::map_get(&self.inner, key), MapOps::len(&self.inner))
+            MapOps::map_get(&self.inner, key)
         })
     }
 
     /// Key membership test (critical op: *contains*).
     pub fn contains_key(&mut self, key: &K) -> bool {
         observe(&mut self.monitor, OpKind::Contains, || {
-            (
-                MapOps::contains_key(&self.inner, key),
-                MapOps::len(&self.inner),
-            )
+            MapOps::contains_key(&self.inner, key)
         })
     }
 
     /// Removes the entry for `key` (critical op: *middle*).
     pub fn remove(&mut self, key: &K) -> Option<V> {
         observe(&mut self.monitor, OpKind::Middle, || {
-            (
-                MapOps::map_remove(&mut self.inner, key),
-                MapOps::len(&self.inner),
-            )
+            MapOps::map_remove(&mut self.inner, key)
         })
     }
 
     /// Visits every entry (critical op: *iterate*).
     pub fn for_each(&mut self, mut f: impl FnMut(&K, &V)) {
         observe(&mut self.monitor, OpKind::Iterate, || {
-            (
-                MapOps::for_each_entry(&self.inner, &mut f),
-                MapOps::len(&self.inner),
-            )
+            MapOps::for_each_entry(&self.inner, &mut f)
         })
     }
 
@@ -506,16 +503,104 @@ mod tests {
         assert_eq!(p.max_size(), 11);
     }
 
+    /// Push to `N`, remove down to `N/2`, then only ops that cannot grow
+    /// the collection: the maximum is the one growth reached, read by the
+    /// growth ops alone.
     #[test]
-    fn remove_records_pre_removal_size() {
-        let (mut list, sink) = monitored_list();
-        for v in 0..8 {
+    fn growth_ops_alone_keep_max_size_exact() {
+        use cs_collections::{MapKind, SetKind};
+        const N: i64 = 40;
+        let sink = ProfileSink::new();
+        let monitor = || Some(Monitor::new(sink.clone()));
+
+        let mut list = SwitchList::new(AnyList::new(ListKind::Array), monitor());
+        for v in 0..N {
             list.push(v);
         }
+        for _ in 0..N / 2 {
+            list.remove(0);
+        }
+        for v in 0..N {
+            list.contains(&v);
+        }
+        list.for_each(|_| {});
+        drop(list);
+        assert_eq!(sink.drain()[0].max_size(), N as usize, "list");
+
+        // A middle-insert is growth: it raises the maximum past the pushes'.
+        let mut list = SwitchList::new(AnyList::new(ListKind::Linked), monitor());
+        for v in 0..N {
+            list.push(v);
+        }
+        list.insert((N / 2) as usize, -1);
         list.remove(0);
         drop(list);
-        let p = &sink.drain()[0];
-        assert_eq!(p.max_size(), 8);
+        assert_eq!(sink.drain()[0].max_size(), N as usize + 1, "list insert");
+
+        let mut set = SwitchSet::new(AnySet::new(SetKind::Chained), monitor());
+        for v in 0..N {
+            set.insert(v);
+        }
+        for v in 0..N / 2 {
+            set.remove(&v);
+        }
+        for v in 0..N {
+            set.contains(&v);
+        }
+        set.for_each(|_| {});
+        drop(set);
+        assert_eq!(sink.drain()[0].max_size(), N as usize, "set");
+
+        let mut map = SwitchMap::new(AnyMap::new(MapKind::Array), monitor());
+        for k in 0..N {
+            map.insert(k, k);
+        }
+        for k in 0..N / 2 {
+            map.remove(&k);
+        }
+        for k in 0..N {
+            map.get(&k);
+            map.contains_key(&k);
+        }
+        map.for_each(|_, _| {});
+        drop(map);
+        assert_eq!(sink.drain()[0].max_size(), N as usize, "map");
+    }
+
+    /// Each monitored instance clocks from its own phase. 640 instances of
+    /// 10 ops each run 6,400 ops; at one clocked op in 64, a fixed phase
+    /// would clock all of them or none, while per-instance phases clock
+    /// close to 6,400 / 64 = 100. The golden-ratio phase sequence spreads
+    /// 640 consecutive phases within ±10 of an even split over the 64
+    /// ticks, and a fresh thread always draws the same phases.
+    #[test]
+    fn short_instances_are_clocked_at_the_sample_rate() {
+        const INSTANCES: u64 = 640;
+        const OPS: u64 = 10;
+        let clocked = || {
+            std::thread::spawn(|| {
+                let sink = ProfileSink::new();
+                for _ in 0..INSTANCES {
+                    let mut list: SwitchList<u64> = SwitchList::new(
+                        AnyList::new(ListKind::Array),
+                        Some(Monitor::new(sink.clone())),
+                    );
+                    for v in 0..OPS {
+                        list.push(v);
+                    }
+                }
+                sink.drain().iter().map(|p| p.timing().ops).sum::<u64>()
+            })
+            .join()
+            .expect("clocking thread panicked")
+        };
+        let first = clocked();
+        let expected = (INSTANCES * OPS) >> HANDLE_SAMPLE_SHIFT;
+        assert!(
+            first.abs_diff(expected) <= 10,
+            "{first} clocked ops, expected {expected} ± 10"
+        );
+        assert_eq!(clocked(), first, "phases are deterministic per thread");
     }
 
     #[test]

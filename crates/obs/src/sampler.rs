@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cs_telemetry::{Json, ValueSnapshot};
+use cs_telemetry::Json;
 
 use crate::drift::DriftEvent;
 use crate::window::Frame;
@@ -79,16 +79,10 @@ pub(crate) fn tick(core: &ObsCore) -> Vec<DriftEvent> {
 /// Flattens the registry's counter series into sorted
 /// `(series-identity, total)` pairs for the frame.
 fn flatten_counters(core: &ObsCore) -> Vec<(String, u64)> {
-    let snapshot = core.registry.snapshot();
     let mut out = Vec::new();
-    for family in &snapshot.families {
-        for series in &family.series {
-            let ValueSnapshot::Counter(total) = series.value else {
-                continue;
-            };
-            out.push((series_key(&family.name, &series.labels), total));
-        }
-    }
+    core.registry.for_each_counter(|name, labels, total| {
+        out.push((series_key(name, labels), total));
+    });
     out.sort();
     out
 }

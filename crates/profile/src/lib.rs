@@ -13,9 +13,10 @@
 //!
 //! Every monitored op — on a `cs-core` handle or a `cs-runtime` site —
 //! goes through one recording primitive, [`record_op`]: it counts the op,
-//! attributes its allocations, wall-clocks one op in `2^k`, and owns the
-//! op's trace span. [`OpRecorder`] (one handle) and [`LocalWindowBuffer`]
-//! (one thread's share of a concurrent site) absorb its [`OpSample`]s.
+//! attributes its allocations, wall-clocks one op in `2^k` on the
+//! caller-owned [`OpClock`], and owns the op's trace span. [`OpRecorder`]
+//! (one handle) and [`LocalWindowBuffer`] (one thread's share of a
+//! concurrent site) absorb its [`OpSample`]s.
 //! Sampled time travels as an [`OpTiming`] — clocked nanos plus clocked
 //! ops — and is never scaled up.
 //!
@@ -57,6 +58,6 @@ pub use buffer::LocalWindowBuffer;
 pub use histogram::{BucketAgg, ProfileHistogram};
 pub use op::{OpCounters, OpKind, OpRecorder};
 pub use profile::WorkloadProfile;
-pub use record::{record_op, OpSample, OpTiming, DESCHEDULED_NANOS};
+pub use record::{record_op, OpClock, OpSample, OpTiming, DESCHEDULED_NANOS};
 pub use sink::ProfileSink;
 pub use window::{WindowConfig, WindowState};

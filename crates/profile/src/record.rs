@@ -1,14 +1,16 @@
 //! The op-recording primitive shared by every monitored op path.
 //!
 //! Monitored `cs-core` handles and `cs-runtime` concurrent sites both run
-//! each monitored critical op through [`record_op`]. Per op it:
+//! each monitored critical op through [`record_op`]. Everything that cannot
+//! change within a monitored instance is decided once, when the instance's
+//! [`OpClock`] is made: which op ticks are clocked (its phase and rate) and
+//! whether a counting allocator is live. Per op, [`record_op`] then:
 //!
 //! * attributes the op's allocations through a [`cs_heap::AllocGuard`] —
 //!   on *every* op, because allocation is bursty (one capacity doubling in
 //!   hundreds of pushes) and a sampled guard misses exactly those bursts.
-//!   Without a counting allocator installed the guard is inert and costs one
-//!   relaxed load per end;
-//! * wall-clocks only one op in `2^shift`, chosen by one per-thread tick.
+//!   A clock made without a counting allocator opens no guard at all;
+//! * wall-clocks only one op in `2^shift`, chosen by the clock's own tick.
 //!   A clocked op that reads longer than [`DESCHEDULED_NANOS`] counts as
 //!   unclocked: its thread was descheduled mid-op;
 //! * opens the [`cs_trace::op_span`] around the recorder update, so the
@@ -38,10 +40,68 @@ use crate::op::OpKind;
 /// unverifiable rather than misjudged.
 pub const DESCHEDULED_NANOS: u64 = 1_000_000;
 
+/// Increment of the per-thread phase sequence: 2^64 divided by the golden
+/// ratio, so successive phases (and any fixed stride through them) spread
+/// evenly over the clock period.
+const PHASE_STEP: u64 = 0x9E37_79B9_7F4A_7C15;
+
 thread_local! {
-    /// Per-thread op tick: the clock-sample decision for every monitored
-    /// op path on this thread.
-    static TICK: Cell<u64> = const { Cell::new(0) };
+    /// Per-thread Weyl sequence that hands each new monitored instance its
+    /// clock phase.
+    static PHASE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The clock state of one monitored op path: its op tick, which ticks are
+/// clocked, and whether its ops open an allocation guard.
+///
+/// A monitored handle makes one with [`OpClock::for_instance`] and keeps
+/// it for its lifetime, so its ops read no thread-local state to decide
+/// what they record. A runtime site, one long-lived collection, builds one
+/// per op with [`OpClock::new`] from its thread's op tick.
+#[derive(Debug, Clone, Copy)]
+pub struct OpClock {
+    tick: u64,
+    mask: u64,
+    alloc: bool,
+}
+
+impl OpClock {
+    /// A clock that wall-clocks one op in `2^shift` (`0` clocks every op),
+    /// starting from tick `phase`. Whether its ops attribute allocations is
+    /// read now from [`cs_heap::counting_active`]; a counting allocator
+    /// sees traffic from the process's first allocation, so the answer does
+    /// not change later.
+    pub fn new(shift: u32, phase: u64) -> OpClock {
+        OpClock {
+            tick: phase,
+            mask: (1u64 << shift.min(63)) - 1,
+            alloc: cs_heap::counting_active(),
+        }
+    }
+
+    /// A clock for a new monitored instance, at the next phase of the
+    /// calling thread's phase sequence.
+    ///
+    /// An instance of `n < 2^shift` ops is then clocked with probability
+    /// `n / 2^shift`; with one fixed phase, every such instance would start
+    /// at the same tick and short-lived sites would never be clocked.
+    pub fn for_instance(shift: u32) -> OpClock {
+        let next = PHASE.with(|p| {
+            let next = p.get().wrapping_add(PHASE_STEP);
+            p.set(next);
+            next
+        });
+        // The top bits of a golden-ratio Weyl sequence are its most evenly
+        // spread; rotate them into the low bits the mask tests.
+        OpClock::new(shift, next.rotate_left(shift.min(63)))
+    }
+
+    /// Advances the tick; `true` when this op is clocked.
+    #[inline]
+    fn tick(&mut self) -> bool {
+        self.tick = self.tick.wrapping_add(1);
+        self.tick & self.mask == 0
+    }
 }
 
 /// What one monitored op reports to its recorder.
@@ -49,7 +109,9 @@ thread_local! {
 pub struct OpSample {
     /// The critical operation executed.
     pub op: OpKind,
-    /// The collection size the op reports (post-op for growth).
+    /// The collection size the op reports (post-op for growth). Callers
+    /// that report sizes only from growth ops pass `0` for the others,
+    /// which never raises a maximum.
     pub size: usize,
     /// Allocation churn attributed to the op body, exact on every op.
     pub alloc: AllocDelta,
@@ -57,46 +119,42 @@ pub struct OpSample {
     pub nanos: Option<u64>,
 }
 
-/// Runs `body` as one monitored critical op and hands the measurement to
-/// `absorb`, returning `body`'s result.
+/// Runs `body` as one monitored critical op on `clock` and hands the
+/// measurement to `absorb`, returning `body`'s result.
 ///
-/// `body` returns `(result, size)`. One op in `2^shift` on the calling
-/// thread is wall-clocked (`shift = 0` clocks every op); every op opens an
-/// allocation guard. `absorb` runs inside the op span, after the guard and
-/// the clock closed, so recorder bookkeeping never pollutes either
-/// measurement. It also sees the result, for callers whose body reports
-/// more than a size (the runtime's contention flag).
+/// `body` returns `(result, size)`. One op in `2^shift` of the clock's
+/// ticks is wall-clocked; every op opens an allocation guard when the clock
+/// attributes allocations. `absorb` runs inside the op span, after the
+/// guard and the clock closed, so recorder bookkeeping never pollutes
+/// either measurement. It also sees the result, for callers whose body
+/// reports more than a size (the runtime's contention flag).
 ///
 /// # Examples
 ///
 /// ```
-/// use cs_profile::{record_op, OpKind, OpRecorder};
+/// use cs_profile::{record_op, OpClock, OpKind, OpRecorder};
 ///
+/// let mut clock = OpClock::new(3, 0);
 /// let mut rec = OpRecorder::new();
 /// let mut v = Vec::new();
 /// for i in 0..8 {
-///     record_op(0, 3, OpKind::Populate, || (v.push(i), v.len()), |_, s| rec.absorb(s));
+///     record_op(&mut clock, 0, OpKind::Populate, || (v.push(i), v.len()), |_, s| rec.absorb(s));
 /// }
 /// let profile = rec.finish();
 /// assert_eq!(profile.count(OpKind::Populate), 8);
 /// assert_eq!(profile.max_size(), 8);
-/// assert_eq!(profile.timing().ops, 1); // 8 ops on one thread, 1 in 2^3 clocked
+/// assert_eq!(profile.timing().ops, 1); // 8 ops, 1 in 2^3 clocked
 /// ```
 #[inline]
 pub fn record_op<R>(
+    clock: &mut OpClock,
     site: u64,
-    shift: u32,
     op: OpKind,
     body: impl FnOnce() -> (R, usize),
     absorb: impl FnOnce(&R, &OpSample),
 ) -> R {
-    let mask = (1u64 << shift.min(63)) - 1;
-    let clocked = TICK.with(|t| {
-        let tick = t.get().wrapping_add(1);
-        t.set(tick);
-        tick & mask == 0
-    });
-    let guard = AllocGuard::begin();
+    let clocked = clock.tick();
+    let guard = clock.alloc.then(AllocGuard::begin);
     let (result, size, nanos) = if clocked {
         let start = Instant::now();
         let (result, size) = body();
@@ -106,7 +164,7 @@ pub fn record_op<R>(
         let (result, size) = body();
         (result, size, None)
     };
-    let alloc = guard.finish();
+    let alloc = guard.map_or_else(AllocDelta::default, AllocGuard::finish);
     let sample = OpSample {
         op,
         size,
@@ -187,11 +245,12 @@ mod tests {
     use super::*;
 
     fn run(ops: u64, shift: u32) -> (u64, u64) {
+        let mut clock = OpClock::new(shift, 0);
         let (mut seen, mut clocked) = (0, 0);
         for i in 0..ops {
             record_op(
+                &mut clock,
                 0,
-                shift,
                 OpKind::Contains,
                 || ((), i as usize),
                 |_, s| {
@@ -217,8 +276,8 @@ mod tests {
         let mut v = vec![1, 2];
         let mut got = None;
         let out = record_op(
+            &mut OpClock::new(0, 0),
             7,
-            0,
             OpKind::Populate,
             || {
                 v.push(3);
@@ -240,7 +299,7 @@ mod tests {
     fn descheduled_readings_are_dropped_from_the_sample() {
         let mut nanos = Some(0);
         record_op(
-            0,
+            &mut OpClock::new(0, 0),
             0,
             OpKind::Iterate,
             || {

@@ -28,7 +28,8 @@ pub struct RuntimeConfig {
     pub flush_interval: Duration,
     /// Timing sample rate as a power of two: 1 op in `1 << sample_shift` per
     /// thread is wall-clocked. `0` times every op. Counts and allocation
-    /// attribution are exact on every op regardless.
+    /// attribution are exact on every op regardless. Defaults to the
+    /// monitored handles' rate, [`HANDLE_SAMPLE_SHIFT`](cs_core::HANDLE_SAMPLE_SHIFT).
     pub sample_shift: u32,
 }
 
@@ -38,7 +39,7 @@ impl Default for RuntimeConfig {
             shards: 16,
             flush_ops: 1024,
             flush_interval: Duration::from_millis(10),
-            sample_shift: 3,
+            sample_shift: cs_core::HANDLE_SAMPLE_SHIFT,
         }
     }
 }

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cs_collections::{ConcKind, ListKind, MapKind, SetKind};
+use cs_collections::{ConcKind, MapKind, SetKind};
 use cs_core::{ContextCore, ContextStats};
 use cs_profile::{OpKind, OpTiming, WorkloadProfile};
 
@@ -40,9 +40,6 @@ impl FlushPolicy {
 /// is what makes a non-generic registry possible).
 #[derive(Debug)]
 pub(crate) enum CoreRef {
-    /// A list site.
-    #[allow(dead_code)] // registered for symmetry; no concurrent list handle yet
-    List(Arc<ContextCore<ListKind>>),
     /// A set site.
     Set(Arc<ContextCore<SetKind>>),
     /// A map site.
@@ -52,7 +49,6 @@ pub(crate) enum CoreRef {
 impl CoreRef {
     fn ingest(&self, profile: WorkloadProfile) -> bool {
         match self {
-            CoreRef::List(c) => c.ingest_profile(profile),
             CoreRef::Set(c) => c.ingest_profile(profile),
             CoreRef::Map(c) => c.ingest_profile(profile),
         }
@@ -60,7 +56,6 @@ impl CoreRef {
 
     fn stats(&self) -> ContextStats {
         match self {
-            CoreRef::List(c) => c.stats(),
             CoreRef::Set(c) => c.stats(),
             CoreRef::Map(c) => c.stats(),
         }
@@ -68,7 +63,6 @@ impl CoreRef {
 
     fn current_kind(&self) -> String {
         match self {
-            CoreRef::List(c) => c.current_kind().to_string(),
             CoreRef::Set(c) => c.current_kind().to_string(),
             CoreRef::Map(c) => c.current_kind().to_string(),
         }
@@ -76,7 +70,6 @@ impl CoreRef {
 
     fn default_kind(&self) -> String {
         match self {
-            CoreRef::List(c) => c.default_kind().to_string(),
             CoreRef::Set(c) => c.default_kind().to_string(),
             CoreRef::Map(c) => c.default_kind().to_string(),
         }
@@ -84,7 +77,6 @@ impl CoreRef {
 
     fn abstraction(&self) -> cs_collections::Abstraction {
         match self {
-            CoreRef::List(_) => cs_collections::Abstraction::List,
             CoreRef::Set(_) => cs_collections::Abstraction::Set,
             CoreRef::Map(_) => cs_collections::Abstraction::Map,
         }

@@ -55,28 +55,46 @@ fn map_follows_its_strategy_context_through_both_migrations() {
     // --- Phase 1: genuine write contention on the single shard. ---
     //
     // Two holder threads each sleep ~1 ms *inside* `update` — i.e. while
-    // holding the only shard lock. A hold that long outlives parking_lot's
-    // fairness timer, so every unlock hands the shard to the parked rival
-    // and the next acquisition by the releasing thread fails its
-    // `try_lock`: in steady state essentially *every* op either thread
-    // completes is recorded as contended, and no thread can free-run
-    // uncontended ops that would dilute the contention ratio. The main
-    // thread waits for the flushed contended total to cross a threshold
-    // (a fixed op count would be flaky under 1-CPU scheduling).
+    // holding the only shard lock — and take turns: a holder starts its
+    // next `update` only once its rival is inside one, so that `update`'s
+    // `try_lock` fails and the op is recorded as contended. Without the
+    // turns, the releasing holder can re-acquire the lock before its
+    // parked rival wakes (a mutex without a fairness handoff lets it
+    // barge) and free-run uncontended ops that dilute the contention
+    // ratio. A holder that waits 50 ms without its rival entering goes
+    // ahead anyway, so a missed turn costs one uncontended op and never
+    // deadlocks. The main thread waits for the flushed contended total to
+    // cross a threshold (a fixed op count would be flaky under 1-CPU
+    // scheduling).
     let stop = Arc::new(AtomicBool::new(false));
+    let inside: Arc<[AtomicBool; 2]> = Arc::new([AtomicBool::new(false), AtomicBool::new(false)]);
     let holders: Vec<_> = (0..2u64)
         .map(|t| {
             let map = map.clone();
             let stop = Arc::clone(&stop);
+            let inside = Arc::clone(&inside);
             std::thread::spawn(move || {
+                let (me, rival) = (t as usize, 1 - t as usize);
                 let mut ops = 0u64;
                 while !stop.load(Ordering::Relaxed) {
+                    // Holder 0 opens the first turn.
+                    if t == 1 || ops > 0 {
+                        let waited = std::time::Instant::now();
+                        while !inside[rival].load(Ordering::SeqCst)
+                            && !stop.load(Ordering::Relaxed)
+                            && waited.elapsed() < Duration::from_millis(50)
+                        {
+                            std::thread::yield_now();
+                        }
+                    }
                     map.update(
                         t,
                         || 0,
                         |v| {
+                            inside[me].store(true, Ordering::SeqCst);
                             std::thread::sleep(Duration::from_millis(1));
                             *v += 1;
+                            inside[me].store(false, Ordering::SeqCst);
                         },
                     );
                     ops += 1;

@@ -412,6 +412,37 @@ impl MetricsRegistry {
         cell
     }
 
+    /// Calls `visit(name, labels, total)` for every counter series, in
+    /// registration order, under the registry lock. Unlike
+    /// [`MetricsRegistry::snapshot`] it copies no name, label or value, so
+    /// a periodic reader of the counters pays only for what it keeps.
+    /// `visit` must not register metrics on this registry.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cs_telemetry::MetricsRegistry;
+    ///
+    /// let registry = MetricsRegistry::new();
+    /// registry.counter("cs_ops_total", "Ops.", &[("site", "a")]).add(3);
+    /// registry.gauge("cs_live", "Live.", &[]).set(7);
+    /// let mut seen = Vec::new();
+    /// registry.for_each_counter(|name, labels, total| {
+    ///     seen.push((name.to_owned(), labels.len(), total));
+    /// });
+    /// assert_eq!(seen, vec![("cs_ops_total".to_owned(), 1, 3)]);
+    /// ```
+    pub fn for_each_counter(&self, mut visit: impl FnMut(&str, &[(String, String)], u64)) {
+        let families = self.families.lock();
+        for family in families.iter() {
+            for (labels, cell) in &family.series {
+                if let Cell::Counter(c) = cell {
+                    visit(&family.name, labels, c.get());
+                }
+            }
+        }
+    }
+
     /// A point-in-time copy of every family and series, in registration
     /// order (deterministic across runs with the same code path order).
     pub fn snapshot(&self) -> TelemetrySnapshot {
