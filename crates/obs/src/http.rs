@@ -7,16 +7,17 @@
 //! burns one response, increments `cs_obs_worker_panics_total`, and leaves
 //! the server serving. When the hand-off channel is full the accept thread
 //! answers `503` inline rather than queueing unboundedly — scrape traffic
-//! is lossy by design, never a memory hazard. Shutdown is graceful: a
-//! latch flips, a self-connection unblocks `accept`, the channel closes,
-//! and every thread is joined.
+//! is lossy by design, never a memory hazard — and drains the connection
+//! around the answer so the client reads the 503, never a reset. Shutdown
+//! is graceful: a latch flips, a self-connection unblocks `accept`, the
+//! channel closes, and every thread is joined.
 //!
 //! This module is the designated home of all socket I/O in the crate; the
 //! sampler-path modules (`sampler.rs`, `window.rs`, `drift.rs`) are held
 //! I/O-free by the analyzer's `no-blocking-io-in-sampler-path` lint.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -127,29 +128,62 @@ fn accept_loop(
         let Ok(stream) = stream else { continue };
         match tx.try_send(stream) {
             Ok(()) => {}
-            Err(TrySendError::Full(mut stream)) => {
+            Err(TrySendError::Full(stream)) => {
                 // Bounded hand-off: shed load at the door instead of
-                // queueing. Drain the (tiny) request first — closing a
-                // socket with unread data makes the kernel RST it and the
-                // client would see a reset instead of the 503.
+                // queueing.
                 core.metrics.http_rejected.inc();
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-                let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-                let mut sink = [0u8; 1024];
-                let _ = stream.read(&mut sink);
-                let _ = stream.write_all(render_response(
-                    503,
-                    "Service Unavailable",
-                    "text/plain; charset=utf-8",
-                    "scrape backlog full\n",
-                )
-                .as_bytes());
+                shed(stream);
             }
             Err(TrySendError::Disconnected(_)) => break,
         }
     }
     // Dropping `tx` (by returning) closes the channel; workers drain what
     // was already queued and exit.
+}
+
+/// Answers one connection `503` without ever resetting it. Closing a
+/// socket with unread data makes the kernel send an RST, and the client
+/// then sees a reset (on send or on read) instead of the 503. A request
+/// may arrive in several segments, some after the first read returns, so
+/// the shed drains the request head, writes the 503, half-closes, and
+/// keeps reading until the client closes its side. Bounded by
+/// [`SOCKET_TIMEOUT`], like a worker's connection.
+fn shed(mut stream: TcpStream) {
+    let deadline = Instant::now() + SOCKET_TIMEOUT;
+    let mut head = Vec::new();
+    drain(&mut stream, deadline, |chunk| {
+        head.extend_from_slice(chunk);
+        !head_complete(&head) && head.len() < MAX_REQUEST_BYTES
+    });
+    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
+    let _ = stream.write_all(
+        render_response(
+            503,
+            "Service Unavailable",
+            "text/plain; charset=utf-8",
+            "scrape backlog full\n",
+        )
+        .as_bytes(),
+    );
+    let _ = stream.shutdown(Shutdown::Write);
+    drain(&mut stream, deadline, |_| true);
+}
+
+/// Reads and discards until end of stream, an error, `deadline`, or
+/// `more` returns false for the bytes just read.
+fn drain(stream: &mut TcpStream, deadline: Instant, mut more: impl FnMut(&[u8]) -> bool) {
+    let mut chunk = [0u8; 512];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => return,
+            Ok(n) if !more(&chunk[..n]) => return,
+            Ok(_) => {}
+        }
+    }
 }
 
 fn worker_loop(core: &ObsCore, rx: &Mutex<Receiver<TcpStream>>) {
@@ -205,7 +239,7 @@ fn read_request_head(stream: &mut TcpStream) -> Result<String, RequestError> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
-        if buf.windows(4).any(|w| w == b"\r\n\r\n") {
+        if head_complete(&buf) {
             break;
         }
         if buf.len() >= MAX_REQUEST_BYTES {
@@ -218,6 +252,10 @@ fn read_request_head(stream: &mut TcpStream) -> Result<String, RequestError> {
         }
     }
     String::from_utf8(buf).map_err(|_| RequestError::Io)
+}
+
+fn head_complete(buf: &[u8]) -> bool {
+    buf.windows(4).any(|w| w == b"\r\n\r\n")
 }
 
 /// `GET /path HTTP/1.1` → `("GET", "/path")`. Strips any query string.

@@ -59,57 +59,49 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cs_core::Switch;
-use cs_runtime::Runtime;
+use cs_runtime::{Runtime, RuntimeExporter};
 use cs_telemetry::{
-    export_engine, export_process, Counter, FlightRecorder, FloatGauge, Gauge, Histogram,
+    export_process, Counter, EngineExporter, FlightRecorder, FloatGauge, Gauge, Histogram,
     MetricsRegistry,
 };
 use parking_lot::Mutex;
 
-/// What the plane observes: a bare engine or a full runtime. The runtime
-/// variant adds per-site counters (and therefore site trends and drift);
-/// the engine variant still serves every endpoint.
-#[derive(Debug, Clone)]
+/// What the plane observes — a bare engine or a full runtime — with the
+/// exporter that mirrors it into the plane's registry. The sampler tick
+/// and the `/metrics` scrape share the exporter, so each series is
+/// resolved once per plane. The runtime variant adds per-site counters
+/// (and therefore site trends and drift); the engine variant still serves
+/// every endpoint.
+#[derive(Debug)]
 pub(crate) enum Source {
-    Engine(Switch),
-    Runtime(Runtime),
+    Engine(Switch, EngineExporter),
+    Runtime(Runtime, RuntimeExporter),
 }
 
 impl Source {
     pub(crate) fn engine(&self) -> &Switch {
         match self {
-            Source::Engine(engine) => engine,
-            Source::Runtime(rt) => rt.engine(),
+            Source::Engine(engine, _) => engine,
+            Source::Runtime(rt, _) => rt.engine(),
         }
     }
 
     /// The full scrape-path export, procfs gauges included.
     pub(crate) fn export(&self, registry: &MetricsRegistry) {
-        match self {
-            Source::Engine(engine) => {
-                export_engine(registry, engine);
-                export_process(registry);
-            }
-            Source::Runtime(rt) => rt.export_metrics(registry),
-        }
+        self.sample();
+        export_process(registry);
     }
 
-    /// The in-memory sampler-path export: counters only, no syscalls.
-    pub(crate) fn sample_into(&self, registry: &MetricsRegistry) {
+    /// The in-memory sampler-path export: no syscalls. Returns the
+    /// per-site samples it exported (empty for a bare engine).
+    pub(crate) fn sample(&self) -> Vec<SiteSample> {
         match self {
-            Source::Engine(engine) => export_engine(registry, engine),
-            Source::Runtime(rt) => {
-                rt.export_site_metrics(registry);
-                export_engine(registry, rt.engine());
+            Source::Engine(engine, exporter) => {
+                exporter.export(engine);
+                Vec::new()
             }
-        }
-    }
-
-    pub(crate) fn site_samples(&self) -> Vec<SiteSample> {
-        match self {
-            Source::Engine(_) => Vec::new(),
-            Source::Runtime(rt) => rt
-                .sites()
+            Source::Runtime(rt, exporter) => exporter
+                .export(rt)
                 .into_iter()
                 .map(|s| SiteSample {
                     id: s.id,
@@ -124,8 +116,8 @@ impl Source {
 
     pub(crate) fn manifest(&self) -> Vec<cs_core::SiteManifestEntry> {
         match self {
-            Source::Engine(engine) => engine.site_manifest(),
-            Source::Runtime(rt) => rt.site_manifest(),
+            Source::Engine(engine, _) => engine.site_manifest(),
+            Source::Runtime(rt, _) => rt.site_manifest(),
         }
     }
 }
@@ -220,6 +212,7 @@ pub(crate) struct ObsCore {
     pub(crate) registry: MetricsRegistry,
     pub(crate) source: Source,
     pub(crate) flight: Option<Arc<FlightRecorder>>,
+    pub(crate) counters: Mutex<sampler::CounterIndex>,
     pub(crate) window: Mutex<Window>,
     pub(crate) drift: Mutex<DriftDetector>,
     pub(crate) metrics: SelfMetrics,
@@ -325,22 +318,26 @@ impl ObsBuilder {
 
     /// Launches the plane over a full runtime (per-site trends + drift).
     pub fn spawn_runtime(self, rt: &Runtime) -> std::io::Result<ObsHandle> {
-        self.spawn(Source::Runtime(rt.clone()))
+        let rt = rt.clone();
+        self.spawn(|registry| Source::Runtime(rt, RuntimeExporter::new(registry)))
     }
 
     /// Launches the plane over a bare engine (no per-site runtime
     /// counters, so no site trends or drift — every endpoint still works).
     pub fn spawn_engine(self, engine: &Switch) -> std::io::Result<ObsHandle> {
-        self.spawn(Source::Engine(engine.clone()))
+        let engine = engine.clone();
+        self.spawn(|registry| Source::Engine(engine, EngineExporter::new(registry)))
     }
 
-    fn spawn(self, source: Source) -> std::io::Result<ObsHandle> {
+    fn spawn(self, source: impl FnOnce(&MetricsRegistry) -> Source) -> std::io::Result<ObsHandle> {
         let registry = self.registry.unwrap_or_default();
         let metrics = SelfMetrics::register(&registry);
+        let source = source(&registry);
         let core = Arc::new(ObsCore {
             registry,
             source,
             flight: self.flight,
+            counters: Mutex::new(sampler::CounterIndex::default()),
             window: Mutex::new(Window::new(self.window_frames)),
             drift: Mutex::new(DriftDetector::new(self.drift)),
             metrics,
@@ -397,6 +394,12 @@ impl ObsHandle {
     /// Frames currently in the window.
     pub fn window_len(&self) -> usize {
         self.core.window.lock().len()
+    }
+
+    /// A copy of the newest frame, if any tick has run. Cheap: the copy
+    /// shares the frame's counter keys.
+    pub fn latest_frame(&self) -> Option<Frame> {
+        self.core.window.lock().latest().cloned()
     }
 
     /// Counter increase across the window; see [`Window::delta`].

@@ -2,25 +2,39 @@
 //! that snapshots the in-memory observables into the window and feeds the
 //! drift detector.
 //!
-//! Every tick does exactly four in-memory things: mirror the source's
-//! counters into the registry, freeze a [`Frame`](crate::window::Frame)
-//! into the window ring, score the per-site samples against the drift
-//! bands, and update the sampler's own self-metrics (ticks, busy nanos,
-//! overhead ratio). The process-level gauges that read procfs are
-//! deliberately *not* refreshed here — they belong to the scrape path
-//! (`GET /metrics`), where an operator is already paying for a syscall
-//! round-trip. The analyzer's `no-blocking-io-in-sampler-path` lint pins
-//! this invariant: no filesystem or socket tokens may appear in this
-//! module. The single cold exception is a fired drift event, which is
-//! handed to the flight recorder (and thence its JSONL sink) — incidents
-//! are rare by construction and recording them is the point.
+//! A tick does in-memory work that scales with the number of values, not
+//! with the number of metric names:
+//!
+//! 1. **Export.** The plane's exporter reads the runtime's sites once and
+//!    stores every site and engine value into series it resolved the
+//!    first time it saw them (a new site costs one registration; after
+//!    that a tick allocates no label and takes no registry scan).
+//! 2. **Frame.** The registry's counter totals are copied into a
+//!    [`Frame`](crate::window::Frame): one atomic load per series, into
+//!    a fresh value vector next to a shared, sorted key list. The keys
+//!    are rebuilt only when the append-only registry has gained a counter
+//!    series since the last tick, so consecutive frames share one key
+//!    allocation.
+//! 3. **Drift.** The same site samples the frame keeps are scored against
+//!    the drift bands.
+//! 4. **Self-metrics.** Ticks, busy nanos and the overhead ratio, each a
+//!    pre-resolved atomic.
+//!
+//! The process-level gauges that read procfs are deliberately *not*
+//! refreshed here — they belong to the scrape path (`GET /metrics`),
+//! where an operator is already paying for a syscall round-trip. The
+//! analyzer's `no-blocking-io-in-sampler-path` lint pins this invariant:
+//! no filesystem or socket tokens may appear in this module. The single
+//! cold exception is a fired drift event, which is handed to the flight
+//! recorder (and thence its JSONL sink) — incidents are rare by
+//! construction and recording them is the point.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cs_telemetry::Json;
+use cs_telemetry::{Counter, Json, MetricsRegistry};
 
 use crate::drift::DriftEvent;
 use crate::window::Frame;
@@ -32,22 +46,21 @@ use crate::ObsCore;
 /// the plane deterministically instead of racing a timer thread.
 pub(crate) fn tick(core: &ObsCore) -> Vec<DriftEvent> {
     let busy = Instant::now();
-    core.source.sample_into(&core.registry);
+    let sites = core.source.sample();
     let t_ns = core.started.elapsed().as_nanos() as u64;
-    let counters = flatten_counters(core);
-    let sites = core.source.site_samples();
+    let (keys, values) = core.counters.lock().read(&core.registry);
 
-    let events = {
+    let events = core.drift.lock().observe(&sites);
+    {
         let mut window = core.window.lock();
         window.push(Frame {
             t_ns,
-            counters,
-            sites: sites.clone(),
+            keys,
+            values,
+            sites,
         });
         core.metrics.window_frames.set(window.len() as i64);
-        drop(window);
-        core.drift.lock().observe(&sites)
-    };
+    }
 
     for event in &events {
         core.registry
@@ -76,15 +89,40 @@ pub(crate) fn tick(core: &ObsCore) -> Vec<DriftEvent> {
     events
 }
 
-/// Flattens the registry's counter series into sorted
-/// `(series-identity, total)` pairs for the frame.
-fn flatten_counters(core: &ObsCore) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    core.registry.for_each_counter(|name, labels, total| {
-        out.push((series_key(name, labels), total));
-    });
-    out.sort();
-    out
+/// The registry's counter series sorted by series key, with their cells.
+/// Rebuilt only when the append-only registry gains a counter series.
+#[derive(Debug)]
+pub(crate) struct CounterIndex {
+    keys: Arc<[String]>,
+    cells: Vec<Counter>,
+}
+
+impl Default for CounterIndex {
+    fn default() -> CounterIndex {
+        CounterIndex {
+            keys: Arc::from(Vec::new()),
+            cells: Vec::new(),
+        }
+    }
+}
+
+impl CounterIndex {
+    /// The sorted keys (shared with the previous frame unless a series
+    /// was added) and each key's current total.
+    fn read(&mut self, registry: &MetricsRegistry) -> (Arc<[String]>, Vec<u64>) {
+        if registry.counter_series() != self.cells.len() {
+            let mut series = Vec::with_capacity(registry.counter_series());
+            registry.for_each_counter(|name, labels, counter| {
+                series.push((series_key(name, labels), counter.clone()));
+            });
+            series.sort_by(|a, b| a.0.cmp(&b.0));
+            let (keys, cells): (Vec<String>, Vec<Counter>) = series.into_iter().unzip();
+            self.keys = keys.into();
+            self.cells = cells;
+        }
+        let values = self.cells.iter().map(Counter::get).collect();
+        (Arc::clone(&self.keys), values)
+    }
 }
 
 /// The Prometheus series identity: `name` or `name{k="v",…}`.

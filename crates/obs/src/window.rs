@@ -3,17 +3,19 @@
 //!
 //! Each [`Frame`] is a point-in-time copy of every *cumulative* observable
 //! the sampler can reach without I/O: the counter series of the telemetry
-//! registry (flattened to `name{label="value",…}` keys, exactly the
-//! Prometheus series identity) plus the raw per-site samples the drift
-//! detector consumes. Because frames store cumulative totals, any pair of
-//! frames yields an exact delta — the window never loses precision to
-//! pre-aggregation, and evicting old frames only narrows the horizon.
+//! registry (under sorted `name{label="value",…}` keys, exactly the
+//! Prometheus series identity, shared between frames) plus the raw
+//! per-site samples the drift detector consumes. Because frames store
+//! cumulative totals, any pair of frames yields an exact delta — the
+//! window never loses precision to pre-aggregation, and evicting old
+//! frames only narrows the horizon.
 //!
 //! This module is on the sampler path and is covered by the analyzer's
 //! `no-blocking-io-in-sampler-path` lint: no filesystem or socket tokens
 //! may appear here.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One per-site cumulative sample, the drift detector's unit of input.
 /// Copied out of the runtime's [`SiteStats`](cs_runtime::SiteStats)
@@ -37,10 +39,13 @@ pub struct SiteSample {
 pub struct Frame {
     /// Nanoseconds since the observation plane started (monotone).
     pub t_ns: u64,
-    /// Flattened counter series, sorted by key. Keys are the Prometheus
-    /// series identity: `name` for unlabelled series,
-    /// `name{k="v",…}` for labelled ones.
-    pub counters: Vec<(String, u64)>,
+    /// Counter series keys, sorted. Keys are the Prometheus series
+    /// identity: `name` for unlabelled series, `name{k="v",…}` for
+    /// labelled ones. Consecutive frames share one allocation until the
+    /// registry gains a counter series.
+    pub keys: Arc<[String]>,
+    /// Cumulative counter totals: `values[i]` belongs to `keys[i]`.
+    pub values: Vec<u64>,
     /// Per-site cumulative samples at this tick.
     pub sites: Vec<SiteSample>,
 }
@@ -48,10 +53,10 @@ pub struct Frame {
 impl Frame {
     /// The cumulative value of `key` in this frame, if sampled.
     pub fn counter(&self, key: &str) -> Option<u64> {
-        self.counters
-            .binary_search_by(|(k, _)| k.as_str().cmp(key))
+        self.keys
+            .binary_search_by(|k| k.as_str().cmp(key))
             .ok()
-            .map(|i| self.counters[i].1)
+            .map(|i| self.values[i])
     }
 
     fn site(&self, id: u64) -> Option<&SiteSample> {
@@ -154,7 +159,7 @@ impl Window {
     pub fn keys(&self) -> Vec<String> {
         self.frames
             .back()
-            .map(|f| f.counters.iter().map(|(k, _)| k.clone()).collect())
+            .map(|f| f.keys.to_vec())
             .unwrap_or_default()
     }
 
@@ -230,7 +235,13 @@ mod tests {
             .map(|(k, v)| ((*k).to_owned(), *v))
             .collect();
         counters.sort();
-        Frame { t_ns, counters, sites }
+        let (keys, values): (Vec<String>, Vec<u64>) = counters.into_iter().unzip();
+        Frame {
+            t_ns,
+            keys: keys.into(),
+            values,
+            sites,
+        }
     }
 
     fn site(id: u64, ops: [u64; 4], alloc_bytes: u64) -> SiteSample {

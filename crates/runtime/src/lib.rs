@@ -61,7 +61,7 @@ pub use map::ConcurrentMap;
 pub use runtime::{Runtime, RuntimeConfig};
 pub use set::ConcurrentSet;
 pub use site::{SiteShared, SiteStats};
-pub use telemetry::site_stats_to_json;
+pub use telemetry::{site_stats_to_json, RuntimeExporter};
 pub use tlb::flush_current_thread;
 
 // Concurrency is this crate's contract: every public handle must stay

@@ -9,7 +9,10 @@
 //! telemetry JSON snapshot all share one serializer.
 
 use cs_profile::OpKind;
-use cs_telemetry::{export_engine, export_process, Json, MetricsRegistry};
+use cs_telemetry::{
+    export_process, Counter, EngineExporter, FloatGauge, Gauge, Json, MetricsRegistry,
+};
+use parking_lot::Mutex;
 
 use crate::runtime::Runtime;
 use crate::site::SiteStats;
@@ -57,126 +60,229 @@ fn contention_ratio(stats: &SiteStats) -> f64 {
     }
 }
 
-impl Runtime {
-    /// Mirrors every runtime site's counters into `registry` under the
-    /// `cs_runtime_*` families (labelled by site name), plus the wrapped
-    /// engine's `cs_engine_*` state via [`export_engine`] and the
-    /// process-level gauges via [`export_process`] (uptime, peak RSS — so
-    /// a runtime scrape is useful before any site traffic). Idempotent:
-    /// call on every scrape, values overwrite.
-    pub fn export_metrics(&self, registry: &MetricsRegistry) {
-        self.export_site_metrics(registry);
-        export_engine(registry, self.engine());
-        export_process(registry);
+/// The per-site `cs_runtime_*` counters besides the op totals, in export
+/// order: name, help, and the [`SiteStats`] field each mirrors.
+type SiteTotal = (&'static str, &'static str, fn(&SiteStats) -> u64);
+const SITE_TOTALS: [SiteTotal; 9] = [
+    (
+        "cs_runtime_site_flushes_total",
+        "Thread-local buffer flushes per site.",
+        |s| s.flushes,
+    ),
+    (
+        "cs_runtime_site_contended_total",
+        "Contended shard-lock acquisitions per site.",
+        |s| s.contended,
+    ),
+    (
+        "cs_runtime_site_sampled_nanos_total",
+        "Wall time of the clocked critical ops, nanoseconds (not scaled up).",
+        |s| s.sampled_nanos,
+    ),
+    (
+        "cs_runtime_site_timed_ops_total",
+        "Clocked critical ops behind cs_runtime_site_sampled_nanos_total.",
+        |s| s.timed_ops,
+    ),
+    (
+        "cs_runtime_site_alloc_count_total",
+        "Allocation events attributed to critical ops per site.",
+        |s| s.alloc_count,
+    ),
+    (
+        "cs_runtime_site_alloc_bytes_total",
+        "Allocation bytes attributed to critical ops per site.",
+        |s| s.alloc_bytes,
+    ),
+    (
+        "cs_runtime_site_rounds_total",
+        "Engine analysis rounds completed per site.",
+        |s| s.rounds,
+    ),
+    (
+        "cs_runtime_site_switches_total",
+        "Variant switches applied per site.",
+        |s| s.switches,
+    ),
+    (
+        "cs_runtime_site_rollbacks_total",
+        "Switches undone by post-switch verification per site.",
+        |s| s.rollbacks,
+    ),
+];
+
+/// One site's resolved `cs_runtime_site_*` series.
+#[derive(Debug)]
+struct SiteHandles {
+    id: u64,
+    ops: [Counter; 4],
+    totals: [Counter; 9],
+    max_size: Gauge,
+    contention_ratio: FloatGauge,
+    nanos_per_op: FloatGauge,
+    alloc_bytes_per_op: FloatGauge,
+}
+
+impl SiteHandles {
+    fn register(registry: &MetricsRegistry, stats: &SiteStats) -> SiteHandles {
+        let site = stats.name.as_str();
+        SiteHandles {
+            id: stats.id,
+            ops: OpKind::ALL.map(|op| {
+                registry.counter(
+                    "cs_runtime_site_ops_total",
+                    "Exact flushed op totals per site and op kind.",
+                    &[("site", site), ("op", &op.to_string())],
+                )
+            }),
+            totals: SITE_TOTALS
+                .map(|(name, help, _)| registry.counter(name, help, &[("site", site)])),
+            max_size: registry.gauge(
+                "cs_runtime_site_max_size",
+                "Largest post-op shard size observed per site.",
+                &[("site", site)],
+            ),
+            contention_ratio: registry.float_gauge(
+                "cs_runtime_site_contention_ratio",
+                "Contended ops / total flushed ops per site (the strategy \
+                 tier's contention observable).",
+                &[("site", site)],
+            ),
+            nanos_per_op: registry.float_gauge(
+                "cs_runtime_site_nanos_per_op",
+                "Measured wall nanoseconds per critical op per site: \
+                 sampled nanos / clocked ops, the estimator post-switch \
+                 verification uses (zero before any op was clocked).",
+                &[("site", site)],
+            ),
+            alloc_bytes_per_op: registry.float_gauge(
+                "cs_runtime_site_alloc_bytes_per_op",
+                "Attributed allocation bytes per critical op per site (the \
+                 alloc-rate dimension's observable; zero unless a \
+                 cs-heap CountingAlloc is installed).",
+                &[("site", site)],
+            ),
+        }
     }
 
-    /// The in-memory subset of [`Runtime::export_metrics`]: per-site
-    /// counters only, read straight from the runtime's atomics — no
-    /// `/proc` reads, no syscalls beyond memory. This is what the `cs-obs`
-    /// sampler thread calls on every tick; the process-level gauges (which
-    /// do touch procfs) are refreshed only on the scrape path.
-    pub fn export_site_metrics(&self, registry: &MetricsRegistry) {
-        let sites = self.sites();
-        registry
-            .gauge("cs_runtime_sites", "Registered runtime sites.", &[])
+    fn write(&self, stats: &SiteStats) {
+        for op in OpKind::ALL {
+            self.ops[op.index()].set_total(stats.ops[op.index()]);
+        }
+        for (counter, (_, _, value)) in self.totals.iter().zip(SITE_TOTALS) {
+            counter.set_total(value(stats));
+        }
+        self.max_size.set(stats.max_size as i64);
+        self.contention_ratio.set(contention_ratio(stats));
+        self.nanos_per_op.set(stats.nanos_per_op().unwrap_or(0.0));
+        self.alloc_bytes_per_op.set(stats.alloc_bytes_per_op());
+    }
+}
+
+/// Series resolved so far, registered in the order a one-shot export
+/// registers them: the site count, each site as it first appears, then
+/// the engine's.
+#[derive(Debug, Default)]
+struct Resolved {
+    sites_gauge: Option<Gauge>,
+    /// Sorted by site id.
+    sites: Vec<SiteHandles>,
+    engine: Option<EngineExporter>,
+}
+
+/// Mirrors a [`Runtime`]'s counters into one registry: every site's
+/// counters under the `cs_runtime_*` families (labelled by site name)
+/// plus the wrapped engine's `cs_engine_*` state ([`EngineExporter`]).
+///
+/// Each series is resolved in the registry once, the first time the
+/// exporter writes it; later exports store into the resolved atomics, so
+/// a periodic exporter (the `cs-obs` sampler tick and `/metrics` scrape)
+/// neither allocates label strings nor scans the registry. A site
+/// registered after an export is resolved on the next one. Exports are
+/// serialised, so values written from a later read of the sites never
+/// land before those of an earlier one.
+///
+/// # Examples
+///
+/// ```
+/// use cs_collections::MapKind;
+/// use cs_core::Switch;
+/// use cs_runtime::{Runtime, RuntimeExporter};
+/// use cs_telemetry::MetricsRegistry;
+///
+/// let rt = Runtime::new(Switch::builder().build());
+/// let map = rt.named_concurrent_map::<u64, u64>(MapKind::Chained, "doc-map");
+/// map.insert(1, 1);
+/// rt.flush_thread();
+///
+/// let registry = MetricsRegistry::new();
+/// let exporter = RuntimeExporter::new(&registry);
+/// let sites = exporter.export(&rt);
+/// assert_eq!(sites[0].total_ops, 1);
+/// assert_eq!(
+///     registry.snapshot().counter_total("cs_runtime_site_ops_total"),
+///     Some(1)
+/// );
+/// ```
+#[derive(Debug)]
+pub struct RuntimeExporter {
+    registry: MetricsRegistry,
+    resolved: Mutex<Resolved>,
+}
+
+impl RuntimeExporter {
+    /// An exporter into `registry`; nothing is registered until the first
+    /// [`RuntimeExporter::export`].
+    pub fn new(registry: &MetricsRegistry) -> RuntimeExporter {
+        RuntimeExporter {
+            registry: registry.clone(),
+            resolved: Mutex::new(Resolved::default()),
+        }
+    }
+
+    /// Reads [`Runtime::sites`] once, writes every site's series and the
+    /// engine's, and returns the site snapshot it wrote. Memory only: no
+    /// `/proc` reads, no syscalls (the process gauges belong to
+    /// [`Runtime::export_metrics`]).
+    pub fn export(&self, rt: &Runtime) -> Vec<SiteStats> {
+        let mut resolved = self.resolved.lock();
+        let sites = rt.sites();
+        let registry = &self.registry;
+        resolved
+            .sites_gauge
+            .get_or_insert_with(|| {
+                registry.gauge("cs_runtime_sites", "Registered runtime sites.", &[])
+            })
             .set(sites.len() as i64);
         for stats in &sites {
-            let site = stats.name.as_str();
-            for op in OpKind::ALL {
-                registry
-                    .counter(
-                        "cs_runtime_site_ops_total",
-                        "Exact flushed op totals per site and op kind.",
-                        &[("site", site), ("op", &op.to_string())],
-                    )
-                    .set_total(stats.ops[op.index()]);
-            }
-            let totals: [(&str, &str, u64); 9] = [
-                (
-                    "cs_runtime_site_flushes_total",
-                    "Thread-local buffer flushes per site.",
-                    stats.flushes,
-                ),
-                (
-                    "cs_runtime_site_contended_total",
-                    "Contended shard-lock acquisitions per site.",
-                    stats.contended,
-                ),
-                (
-                    "cs_runtime_site_sampled_nanos_total",
-                    "Wall time of the clocked critical ops, nanoseconds (not scaled up).",
-                    stats.sampled_nanos,
-                ),
-                (
-                    "cs_runtime_site_timed_ops_total",
-                    "Clocked critical ops behind cs_runtime_site_sampled_nanos_total.",
-                    stats.timed_ops,
-                ),
-                (
-                    "cs_runtime_site_alloc_count_total",
-                    "Allocation events attributed to critical ops per site.",
-                    stats.alloc_count,
-                ),
-                (
-                    "cs_runtime_site_alloc_bytes_total",
-                    "Allocation bytes attributed to critical ops per site.",
-                    stats.alloc_bytes,
-                ),
-                (
-                    "cs_runtime_site_rounds_total",
-                    "Engine analysis rounds completed per site.",
-                    stats.rounds,
-                ),
-                (
-                    "cs_runtime_site_switches_total",
-                    "Variant switches applied per site.",
-                    stats.switches,
-                ),
-                (
-                    "cs_runtime_site_rollbacks_total",
-                    "Switches undone by post-switch verification per site.",
-                    stats.rollbacks,
-                ),
-            ];
-            for (name, help, value) in totals {
-                registry
-                    .counter(name, help, &[("site", site)])
-                    .set_total(value);
-            }
-            registry
-                .gauge(
-                    "cs_runtime_site_max_size",
-                    "Largest post-op shard size observed per site.",
-                    &[("site", site)],
-                )
-                .set(stats.max_size as i64);
-            registry
-                .float_gauge(
-                    "cs_runtime_site_contention_ratio",
-                    "Contended ops / total flushed ops per site (the strategy \
-                     tier's contention observable).",
-                    &[("site", site)],
-                )
-                .set(contention_ratio(stats));
-            registry
-                .float_gauge(
-                    "cs_runtime_site_nanos_per_op",
-                    "Measured wall nanoseconds per critical op per site: \
-                     sampled nanos / clocked ops, the estimator post-switch \
-                     verification uses (zero before any op was clocked).",
-                    &[("site", site)],
-                )
-                .set(stats.nanos_per_op().unwrap_or(0.0));
-            registry
-                .float_gauge(
-                    "cs_runtime_site_alloc_bytes_per_op",
-                    "Attributed allocation bytes per critical op per site (the \
-                     alloc-rate dimension's observable; zero unless a \
-                     cs-heap CountingAlloc is installed).",
-                    &[("site", site)],
-                )
-                .set(stats.alloc_bytes_per_op());
+            let i = match resolved.sites.binary_search_by_key(&stats.id, |h| h.id) {
+                Ok(i) => i,
+                Err(i) => {
+                    resolved.sites.insert(i, SiteHandles::register(registry, stats));
+                    i
+                }
+            };
+            resolved.sites[i].write(stats);
         }
+        resolved
+            .engine
+            .get_or_insert_with(|| EngineExporter::new(registry))
+            .export(rt.engine());
+        sites
+    }
+}
+
+impl Runtime {
+    /// Mirrors every runtime site's counters and the wrapped engine's
+    /// state into `registry` ([`RuntimeExporter`]), plus the process-level
+    /// gauges via [`export_process`] (uptime, peak RSS — so a runtime
+    /// scrape is useful before any site traffic). Idempotent: call on
+    /// every scrape, values overwrite. A caller that exports periodically
+    /// should keep a [`RuntimeExporter`] instead, which resolves each
+    /// series once.
+    pub fn export_metrics(&self, registry: &MetricsRegistry) {
+        RuntimeExporter::new(registry).export(self);
+        export_process(registry);
     }
 }
 

@@ -12,83 +12,144 @@ use cs_core::{
 };
 use cs_trace::{TraceSnapshot, SPAN_BUCKET_BOUNDS_NS};
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Counter, Gauge, MetricsRegistry};
+
+/// The `cs_engine_*` counters of an [`EngineHealth`], in export order:
+/// name, help, and the field each mirrors.
+type HealthTotal = (&'static str, &'static str, fn(&EngineHealth) -> u64);
+const HEALTH_TOTALS: [HealthTotal; 8] = [
+    (
+        "cs_engine_analysis_passes_total",
+        "Completed analysis passes (clean or panicked).",
+        |h| h.analysis_passes,
+    ),
+    (
+        "cs_engine_transitions_used_total",
+        "Transitions claimed against the global budget.",
+        |h| h.transitions_used,
+    ),
+    (
+        "cs_engine_events_recorded_total",
+        "Events ever recorded in the engine log.",
+        |h| h.events_recorded,
+    ),
+    (
+        "cs_engine_events_dropped_total",
+        "Events lost to the bounded log's eviction.",
+        |h| h.events_dropped,
+    ),
+    (
+        "cs_engine_profiles_ingested_total",
+        "Workload profiles accepted by per-site sinks.",
+        |h| h.profiles_ingested,
+    ),
+    (
+        "cs_engine_profiles_dropped_total",
+        "Workload profiles discarded by bounded per-site sinks.",
+        |h| h.profiles_dropped,
+    ),
+    (
+        "cs_engine_analyzer_panics_total",
+        "Lifetime analyzer panics.",
+        |h| h.analyzer_panics,
+    ),
+    (
+        "cs_engine_sink_disconnects_total",
+        "Event subscribers disconnected because they panicked.",
+        |h| h.sink_disconnects,
+    ),
+];
+
+/// Resolved handles for the series of an [`EngineHealth`].
+#[derive(Debug, Clone)]
+struct HealthHandles {
+    degraded: Gauge,
+    contexts: Gauge,
+    totals: [Counter; 8],
+}
+
+impl HealthHandles {
+    fn register(registry: &MetricsRegistry) -> HealthHandles {
+        HealthHandles {
+            degraded: registry.gauge(
+                "cs_engine_degraded",
+                "1 when adaptation is frozen after repeated analyzer failures.",
+                &[],
+            ),
+            contexts: registry.gauge(
+                "cs_engine_contexts",
+                "Registered allocation contexts.",
+                &[],
+            ),
+            totals: HEALTH_TOTALS.map(|(name, help, _)| registry.counter(name, help, &[])),
+        }
+    }
+
+    fn write(&self, health: &EngineHealth) {
+        self.degraded.set(i64::from(health.degraded));
+        self.contexts.set(health.contexts as i64);
+        for (counter, (_, _, value)) in self.totals.iter().zip(HEALTH_TOTALS) {
+            counter.set_total(value(health));
+        }
+    }
+}
 
 /// Writes an [`EngineHealth`] into `registry` under the `cs_engine_*`
 /// families. Idempotent: repeated calls overwrite the same series.
 pub fn export_engine_health(registry: &MetricsRegistry, health: &EngineHealth) {
-    registry
-        .gauge(
-            "cs_engine_degraded",
-            "1 when adaptation is frozen after repeated analyzer failures.",
-            &[],
-        )
-        .set(i64::from(health.degraded));
-    registry
-        .gauge(
-            "cs_engine_contexts",
-            "Registered allocation contexts.",
-            &[],
-        )
-        .set(health.contexts as i64);
-    let totals: [(&str, &str, u64); 8] = [
-        (
-            "cs_engine_analysis_passes_total",
-            "Completed analysis passes (clean or panicked).",
-            health.analysis_passes,
-        ),
-        (
-            "cs_engine_transitions_used_total",
-            "Transitions claimed against the global budget.",
-            health.transitions_used,
-        ),
-        (
-            "cs_engine_events_recorded_total",
-            "Events ever recorded in the engine log.",
-            health.events_recorded,
-        ),
-        (
-            "cs_engine_events_dropped_total",
-            "Events lost to the bounded log's eviction.",
-            health.events_dropped,
-        ),
-        (
-            "cs_engine_profiles_ingested_total",
-            "Workload profiles accepted by per-site sinks.",
-            health.profiles_ingested,
-        ),
-        (
-            "cs_engine_profiles_dropped_total",
-            "Workload profiles discarded by bounded per-site sinks.",
-            health.profiles_dropped,
-        ),
-        (
-            "cs_engine_analyzer_panics_total",
-            "Lifetime analyzer panics.",
-            health.analyzer_panics,
-        ),
-        (
-            "cs_engine_sink_disconnects_total",
-            "Event subscribers disconnected because they panicked.",
-            health.sink_disconnects,
-        ),
-    ];
-    for (name, help, value) in totals {
-        registry.counter(name, help, &[]).set_total(value);
+    HealthHandles::register(registry).write(health);
+}
+
+/// The series [`export_engine`] writes, resolved once. Resolving a series
+/// validates its name, allocates its labels and scans the registry under
+/// its lock; an exporter that runs periodically (the `cs-obs` sampler)
+/// keeps one of these and then only stores into atomics.
+///
+/// # Examples
+///
+/// ```
+/// use cs_core::Switch;
+/// use cs_telemetry::{EngineExporter, MetricsRegistry};
+///
+/// let registry = MetricsRegistry::new();
+/// let exporter = EngineExporter::new(&registry);
+/// let engine = Switch::builder().build();
+/// exporter.export(&engine);
+/// exporter.export(&engine); // no new series, just fresh values
+/// assert_eq!(registry.snapshot().gauge_value("cs_engine_degraded"), Some(0));
+/// ```
+#[derive(Debug, Clone)]
+pub struct EngineExporter {
+    health: HealthHandles,
+    analysis_nanos: Counter,
+}
+
+impl EngineExporter {
+    /// Registers (or resolves) every `cs_engine_*` series in `registry`.
+    pub fn new(registry: &MetricsRegistry) -> EngineExporter {
+        EngineExporter {
+            health: HealthHandles::register(registry),
+            analysis_nanos: registry.counter(
+                "cs_engine_analysis_nanos_total",
+                "Cumulative wall-clock time spent in analysis passes, in nanoseconds.",
+                &[],
+            ),
+        }
+    }
+
+    /// Refreshes the series from a live engine: its health plus
+    /// cumulative analysis time.
+    pub fn export(&self, engine: &Switch) {
+        self.health.write(&engine.health());
+        self.analysis_nanos
+            .set_total(engine.analysis_time_total().as_nanos() as u64);
     }
 }
 
 /// Refreshes `registry` from a live engine: [`export_engine_health`] plus
-/// cumulative analysis time.
+/// cumulative analysis time. One-shot form of [`EngineExporter`].
 pub fn export_engine(registry: &MetricsRegistry, engine: &Switch) {
-    export_engine_health(registry, &engine.health());
-    registry
-        .counter(
-            "cs_engine_analysis_nanos_total",
-            "Cumulative wall-clock time spent in analysis passes, in nanoseconds.",
-            &[],
-        )
-        .set_total(engine.analysis_time_total().as_nanos() as u64);
+    EngineExporter::new(registry).export(engine);
 }
 
 /// Writes a [`WarmStartReport`] into `registry` under the `cs_state_*`

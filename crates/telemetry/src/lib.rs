@@ -70,7 +70,7 @@ mod sinks;
 
 pub use export::{
     export_engine, export_engine_health, export_heap, export_persister, export_process,
-    export_state, export_trace, export_warm_start,
+    export_state, export_trace, export_warm_start, EngineExporter,
 };
 pub use flight::{FlightRecorder, FlightRecorderConfig};
 pub use json::{

@@ -9,7 +9,7 @@
 //! twice returns a handle to the *same* cell, so instrumentation code can
 //! re-resolve handles without double counting.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -255,6 +255,10 @@ struct Family {
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     families: Arc<Mutex<Vec<Family>>>,
+    /// Counter series registered so far; bumped under the `families` lock.
+    /// `Relaxed`: it publishes no data — a reader that sees it change
+    /// re-reads the series under that lock.
+    counter_series: Arc<AtomicUsize>,
 }
 
 fn valid_metric_name(name: &str) -> bool {
@@ -400,9 +404,11 @@ impl MetricsRegistry {
             }
             let cell = make();
             family.series.push((labels, cell.clone()));
+            self.count_new_series(kind);
             return cell;
         }
         let cell = make();
+        self.count_new_series(kind);
         families.push(Family {
             name: name.to_owned(),
             help: help.to_owned(),
@@ -412,11 +418,28 @@ impl MetricsRegistry {
         cell
     }
 
-    /// Calls `visit(name, labels, total)` for every counter series, in
+    fn count_new_series(&self, kind: MetricKind) {
+        if kind == MetricKind::Counter {
+            self.counter_series.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// How many counter series the registry holds. The registry is
+    /// append-only, so this changes exactly when a counter series is
+    /// added: a reader that keeps the handles
+    /// [`MetricsRegistry::for_each_counter`] hands out needs to visit
+    /// again only when this differs from the number it kept.
+    pub fn counter_series(&self) -> usize {
+        self.counter_series.load(Ordering::Relaxed)
+    }
+
+    /// Calls `visit(name, labels, counter)` for every counter series, in
     /// registration order, under the registry lock. Unlike
     /// [`MetricsRegistry::snapshot`] it copies no name, label or value, so
-    /// a periodic reader of the counters pays only for what it keeps.
-    /// `visit` must not register metrics on this registry.
+    /// a periodic reader of the counters pays only for what it keeps — and
+    /// a reader that clones the [`Counter`] handles can read the totals
+    /// later without the lock. `visit` must not register metrics on this
+    /// registry.
     ///
     /// # Examples
     ///
@@ -427,17 +450,18 @@ impl MetricsRegistry {
     /// registry.counter("cs_ops_total", "Ops.", &[("site", "a")]).add(3);
     /// registry.gauge("cs_live", "Live.", &[]).set(7);
     /// let mut seen = Vec::new();
-    /// registry.for_each_counter(|name, labels, total| {
-    ///     seen.push((name.to_owned(), labels.len(), total));
+    /// registry.for_each_counter(|name, labels, counter| {
+    ///     seen.push((name.to_owned(), labels.len(), counter.get()));
     /// });
     /// assert_eq!(seen, vec![("cs_ops_total".to_owned(), 1, 3)]);
+    /// assert_eq!(registry.counter_series(), 1);
     /// ```
-    pub fn for_each_counter(&self, mut visit: impl FnMut(&str, &[(String, String)], u64)) {
+    pub fn for_each_counter(&self, mut visit: impl FnMut(&str, &[(String, String)], &Counter)) {
         let families = self.families.lock();
         for family in families.iter() {
             for (labels, cell) in &family.series {
                 if let Cell::Counter(c) = cell {
-                    visit(&family.name, labels, c.get());
+                    visit(&family.name, labels, c);
                 }
             }
         }
@@ -689,6 +713,8 @@ mod tests {
         other.add(5);
         assert_eq!(a.get(), 2, "same labels share a cell");
         assert_eq!(other.get(), 5);
+        let _ = registry.gauge("cs_y", "y", &[]);
+        assert_eq!(registry.counter_series(), 2, "new counter series only");
         let snap = registry.snapshot();
         assert_eq!(snap.family("cs_x_total").unwrap().series.len(), 2);
         assert_eq!(snap.counter_total("cs_x_total"), Some(7));
